@@ -42,15 +42,12 @@ from .quotients import (
 from .schur import (
     CharacterCache,
     NonIntegralResultError,
-    PowerSumExpansion,
     SchurExpansion,
     character,
     lr_coefficient,
     multi_schur_product,
-    power_to_schur,
     schur_plethysm,
     schur_product,
-    schur_to_power,
     sxp_plethysm,
     z_of,
 )
@@ -67,7 +64,6 @@ __all__ = [
     "Partition",
     "Point",
     "PointInDiagramError",
-    "PowerSumExpansion",
     "QuotientDecomposition",
     "SchurExpansion",
     "SignedTableau",
@@ -86,11 +82,9 @@ __all__ = [
     "partitions_of",
     "plethysm_filter_check",
     "point_in_diagram",
-    "power_to_schur",
     "reconstruct",
     "schur_plethysm",
     "schur_product",
-    "schur_to_power",
     "size_row_bound",
     "sxp_lower_check",
     "sxp_plethysm",

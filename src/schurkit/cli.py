@@ -19,26 +19,22 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
-from .partitions import Partition, minkowski_sum, outer_corners
+from .partitions import Partition, ideal_complement
 from .positivity import (
+    corner_sum,
     enumerate_candidates,
-    lr_bound,
     plethysm_filter_check,
     sxp_upper_bound,
 )
-from .quotients import reconstruct, sxp_sign
 from .schur import (
     NonIntegralResultError,
     SchurExpansion,
-    _partition_tuples,
-    _product_coefficient,
     schur_plethysm,
     schur_product,
     sxp_plethysm,
 )
-from .verification import plethysm_stats, run_scope
+from .verification import containment_counts, run_scope
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -70,35 +66,6 @@ def _result(command: str, inputs: dict, output: dict, started: float) -> dict:
     }
 
 
-def _sxp_term(args: tuple) -> tuple[tuple[int, ...], int] | None:
-    """Coefficient of one SXP candidate; module-level so that process pools
-    can pickle it."""
-    n, lam_parts, tuple_parts = args
-    lam = Partition(lam_parts)
-    tup = tuple(Partition(t) for t in tuple_parts)
-    coeff = _product_coefficient(lam, tup)
-    if coeff == 0:
-        return None
-    mu = reconstruct(n, Partition(), tup)
-    return (mu.parts, coeff * sxp_sign(mu, n))
-
-
-def _sxp_expansion(n: int, lam: Partition, workers: int) -> SchurExpansion:
-    if workers <= 1:
-        return sxp_plethysm(n, lam)
-    jobs = [
-        (n, lam.parts, tuple(q.parts for q in tup))
-        for tup in _partition_tuples(n, lam.size)
-    ]
-    terms: dict[Partition, int] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for hit in pool.map(_sxp_term, jobs, chunksize=8):
-            if hit is not None:
-                mu_parts, coeff = hit
-                terms[Partition(mu_parts)] = coeff
-    return SchurExpansion(n * lam.size, terms)
-
-
 def _cmd_expand(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.kind == "product":
@@ -113,7 +80,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         if args.n is None or args.lam is None:
             return _usage("expand sxp needs -n and -l")
         inputs = {"kind": "sxp", "n": args.n, "lam": args.lam.to_list()}
-        expansion = _sxp_expansion(args.n, args.lam, args.parallel)
+        expansion = sxp_plethysm(args.n, args.lam)
     else:  # plethysm
         if args.mu is None or args.nu is None:
             return _usage("expand plethysm needs -m and -v")
@@ -130,12 +97,10 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         if not args.mu:
             return _usage("filter lr needs at least one -m")
         inputs = {"kind": "lr", "factors": [m.to_list() for m in args.mu]}
-        corner_sum = outer_corners(args.mu[0])
-        for m in args.mu[1:]:
-            corner_sum = minkowski_sum(corner_sum, outer_corners(m))
+        corners = corner_sum(args.mu)
         output = {
-            "theta": lr_bound(args.mu).to_list(),
-            "corner_sum": [list(p) for p in sorted(corner_sum)],
+            "theta": ideal_complement(corners).to_list(),
+            "corner_sum": [list(p) for p in sorted(corners)],
         }
         doc = _result("filter", inputs, output, started)
         sys.stdout.write(_dump(doc, args.pretty))
@@ -175,7 +140,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     inputs = {"mu": args.mu.to_list(), "nu": args.nu.to_list()}
     phases = {}
     t0 = time.perf_counter()
-    total, after_filter, _ = plethysm_stats(args.mu, args.nu)
+    total, after_filter = containment_counts(args.mu, args.nu)
     phases["filter"] = round((time.perf_counter() - t0) * 1000, 3)
     t0 = time.perf_counter()
     support = len(schur_plethysm(args.mu, args.nu))
@@ -215,25 +180,13 @@ def _usage(message: str) -> int:
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # registered on the root parser and again on every subcommand with
-    # SUPPRESS defaults, so the flags work in either position
-    flag_default = argparse.SUPPRESS if suppress else False
+    # registered on the root parser and again on every subcommand with a
+    # SUPPRESS default, so the flag works in either position
     parser.add_argument(
-        "--json",
+        "--pretty",
         action="store_true",
-        default=flag_default,
-        help="emit JSON output (the default)",
-    )
-    parser.add_argument(
-        "--pretty", action="store_true", default=flag_default, help="indent JSON output"
-    )
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        metavar="N",
-        default=argparse.SUPPRESS if suppress else 1,
-        help="fan per-coefficient work over N processes where supported; "
-        "output bytes are unaffected",
+        default=argparse.SUPPRESS if suppress else False,
+        help="indent JSON output",
     )
 
 

@@ -2,10 +2,11 @@
 
 This module exists to cross-check the main path and is allowed to be slow.
 It shares only Partition, character and z_of with the rest of the package;
-products, plethysms and both basis changes are reimplemented here from the
-defining formulas, so a bug in tableau enumeration or the abacus machinery
-cannot hide.  A shared character bug would still be caught by the
-orthogonality sweep in the test suite.
+products and plethysms are reimplemented here from the defining formulas,
+and the basis change between Schur functions and power sums lives only
+here, so a bug in tableau enumeration or the abacus machinery cannot hide.
+A shared character bug would still be caught by the orthogonality sweep in
+the test suite.
 """
 
 from __future__ import annotations

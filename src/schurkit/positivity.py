@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .partitions import (
     Partition,
+    Point,
     ideal_complement,
     minkowski_sum,
     outer_corners,
@@ -38,20 +39,25 @@ class BoundPair:
         }
 
 
-def lr_bound(mus: Sequence[Partition]) -> Partition:
-    """Containing shape for the support of a product of Schur functions.
-
-    The Minkowski sum of the factors' outer-corner sets generates an ideal
-    whose complement contains the diagram of every partition in
-    supp(s_{mu_0} * s_{mu_1} * ...).  Each corner set has a point on each
-    axis, so the complement is always a finite partition.
-    """
+def corner_sum(mus: Sequence[Partition]) -> frozenset[Point]:
+    """Minkowski sum of the factors' outer-corner sets."""
     if not mus:
-        raise ValueError("lr_bound requires at least one factor")
+        raise ValueError("corner_sum requires at least one factor")
     total = outer_corners(mus[0])
     for mu in mus[1:]:
         total = minkowski_sum(total, outer_corners(mu))
-    return ideal_complement(total)
+    return total
+
+
+def lr_bound(mus: Sequence[Partition]) -> Partition:
+    """Containing shape for the support of a product of Schur functions.
+
+    The corner sum of the factors generates an ideal whose complement
+    contains the diagram of every partition in supp(s_{mu_0} * s_{mu_1} *
+    ...).  Each corner set has a point on each axis, so the complement is
+    always a finite partition.
+    """
+    return ideal_complement(corner_sum(mus))
 
 
 def sxp_lower_check(lam: Partition, mu: Partition) -> bool:

@@ -19,7 +19,7 @@ all independent of the padding.  Runner k carries quotient component k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .partitions import Partition, Point, point_in_diagram
 
@@ -59,16 +59,24 @@ class QuotientDecomposition:
         }
 
 
-def _beta_set(mu: Partition, m: int) -> list[int]:
+def _beta_set(mu: Partition | tuple[int, ...], m: int) -> list[int]:
     """First-column hook lengths of mu padded to m parts; strictly decreasing."""
     return [mu[i] + m - 1 - i for i in range(m)]
 
 
-def _partition_from_beta(beta: Sequence[int]) -> Partition:
-    """Inverse of _beta_set for a strictly decreasing sequence."""
-    bs = sorted(beta, reverse=True)
-    m = len(bs)
-    return Partition(bs[i] - (m - 1 - i) for i in range(m))
+def _partition_from_beta(beta: Iterable[int]) -> tuple[int, ...]:
+    """Inverse of _beta_set for any set of distinct bead positions, as a plain
+    tuple of parts without trailing zeros: a bead's part is the number of
+    empty positions below it.  The Murnaghan-Nakayama recursion calls this in
+    its inner loop, so it builds no Partition."""
+    parts = [b - i for i, b in enumerate(sorted(beta)) if b > i]
+    return tuple(reversed(parts))
+
+
+def _beads_between(beads: Iterable[int], t: int, b: int) -> int:
+    """Number of beads strictly between positions t < b: the height of the
+    rim hook removed by moving the bead at b down to t."""
+    return sum(1 for x in beads if t < x < b)
 
 
 def _padded_length(length: int, n: int) -> int:
@@ -90,23 +98,34 @@ def decompose(mu: Partition, n: int) -> QuotientDecomposition:
     levels: list[list[int]] = [[] for _ in range(n)]
     for b in beta:
         levels[b % n].append(b // n)
-    for runner in levels:
-        runner.sort(reverse=True)
 
     core_positions = [
         i + n * j for i, runner in enumerate(levels) for j in range(len(runner))
     ]
-    core = _partition_from_beta(core_positions)
+    core = Partition(_partition_from_beta(core_positions))
 
-    quotient = tuple(
-        Partition(runner[j] - (len(runner) - 1 - j) for j in range(len(runner)))
-        for runner in levels
-    )
+    quotient = tuple(Partition(_partition_from_beta(runner)) for runner in levels)
 
     sign = None
     if not core:
-        sign = -1 if _removal_parity(set(beta), n) else 1
+        sign = _abacus_sign(beta, n)
     return QuotientDecomposition(n=n, core=core, quotient=quotient, sign=sign)
+
+
+def _abacus_sign(beta: Sequence[int], n: int) -> int:
+    """(-1) to the total height of pushing every bead of an empty-core
+    beta-set down.  The beads end at keys rank * n + runner (rank counted from
+    the bottom of the runner), which fill 0 .. m-1.  A move over h beads is h
+    transpositions of the bead order and never passes a bead on its own
+    runner, so the height has the parity of the inversions between the
+    beads' positions and their keys."""
+    rank = [0] * n
+    keys = []
+    for b in reversed(beta):  # ascending positions
+        keys.append(rank[b % n] * n + b % n)
+        rank[b % n] += 1
+    inversions = sum(1 for i, k in enumerate(keys) for j in keys[:i] if j > k)
+    return -1 if inversions % 2 else 1
 
 
 def reconstruct(n: int, core: Partition, quotient: Sequence[Partition]) -> Partition:
@@ -124,36 +143,32 @@ def reconstruct(n: int, core: Partition, quotient: Sequence[Partition]) -> Parti
     m = n * (len(core) + max_quot + 1)
     beta = _beta_set(core, m)
 
-    levels: list[list[int]] = [[] for _ in range(n)]
-    for b in beta:
-        levels[b % n].append(b // n)
-
     positions = []
-    for i, runner in enumerate(levels):
-        k = len(runner)
+    for i, q in enumerate(quotient):
         # a core's beads sit at the bottom of each runner, so the quotient
         # component lifts them by its parts; the padding above guarantees
         # every runner has more beads than its component has parts
-        q = quotient[i]
+        k = sum(1 for b in beta if b % n == i)
         assert k >= len(q)
-        positions.extend(i + n * (q[j] + k - 1 - j) for j in range(k))
-    return _partition_from_beta(positions)
+        positions.extend(i + n * b for b in _beta_set(q, k))
+    return Partition(_partition_from_beta(positions))
 
 
 def _removal_parity(
-    positions: set[int], n: int, pick: Callable[[list[int]], int] | None = None
+    positions: set[int], n: int, pick: Callable[[list[int]], int]
 ) -> int:
     """Parity of the total rim-hook height accumulated while pushing all
-    beads down.  ``pick`` selects which movable bead goes next; the parity is
-    the same for every choice, which the test suite exercises with random
-    picks."""
+    beads down one move at a time.  ``pick`` selects which movable bead goes
+    next; the parity is the same for every choice.  decompose reads the sign
+    off the abacus instead; this simulation is the reference the test suite
+    checks that reading against, with random picks."""
     total = 0
     while True:
         movable = sorted(b for b in positions if b >= n and b - n not in positions)
         if not movable:
             return total % 2
-        b = movable[pick(movable)] if pick else movable[0]
-        total += sum(1 for x in positions if b - n < x < b)
+        b = movable[pick(movable)]
+        total += _beads_between(positions, b - n, b)
         positions.remove(b)
         positions.add(b - n)
 

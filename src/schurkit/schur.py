@@ -1,8 +1,8 @@
-"""Sparse exact arithmetic in the Schur and power-sum bases.
+"""Sparse exact arithmetic in the Schur basis.
 
-Expansions are immutable maps from Partition to an exact coefficient, always
-homogeneous and zero-free.  Coefficients are Python ints on the Schur side
-and fractions.Fraction on the power-sum side; no floats anywhere.
+Expansions are immutable maps from Partition to an int coefficient, always
+homogeneous and zero-free; no floats anywhere.  Plethysm weights are exact
+fractions.Fraction values that must clear to integers.
 
 Littlewood-Richardson coefficients are counted by backtracking over skew
 semistandard fillings with the lattice-word condition checked incrementally.
@@ -21,7 +21,13 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .partitions import Partition, all_partitions, partitions_of
-from .quotients import reconstruct, sxp_sign
+from .quotients import (
+    _beads_between,
+    _beta_set,
+    _partition_from_beta,
+    reconstruct,
+    sxp_sign,
+)
 
 _EMPTY = Partition()
 
@@ -29,10 +35,6 @@ _EMPTY = Partition()
 class NonIntegralResultError(ArithmeticError):
     """A computation that must produce integers left a denominator behind.
     This signals an internal bug, never a user error."""
-
-
-def _sorted_terms(terms: Mapping[Partition, object]) -> list:
-    return sorted(terms.items(), key=lambda kv: kv[0].parts, reverse=True)
 
 
 class SchurExpansion:
@@ -43,6 +45,8 @@ class SchurExpansion:
     def __init__(self, degree: int, terms: Mapping[Partition, int]):
         clean = {}
         for lam, coeff in terms.items():
+            if isinstance(coeff, bool):
+                raise TypeError("Schur coefficients must be int, got bool")
             if coeff == 0:
                 continue
             if not isinstance(coeff, int):
@@ -88,13 +92,13 @@ class SchurExpansion:
         return hash((self._degree, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{c}*s{list(p.parts)}" for p, c in _sorted_terms(self._terms))
+        body = " + ".join(f"{c}*s{list(p.parts)}" for p, c in self.sorted_terms())
         return f"SchurExpansion(degree={self._degree}, {body or '0'})"
 
     def sorted_terms(self) -> list[tuple[Partition, int]]:
         """Terms in descending lexicographic order of the index partition,
         the canonical order for serialisation."""
-        return _sorted_terms(self._terms)
+        return sorted(self._terms.items(), key=lambda kv: kv[0].parts, reverse=True)
 
     def to_json_obj(self) -> dict:
         return {
@@ -104,48 +108,6 @@ class SchurExpansion:
                 for p, c in self.sorted_terms()
             ],
         }
-
-
-class PowerSumExpansion:
-    """Homogeneous rational combination of power sums, stored sparsely."""
-
-    __slots__ = ("_degree", "_terms")
-
-    def __init__(self, degree: int, terms: Mapping[Partition, Fraction | int]):
-        clean = {}
-        for rho, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if rho.size != degree:
-                raise ValueError(
-                    f"term {rho!r} has size {rho.size}, expected degree {degree}"
-                )
-            clean[rho] = coeff
-        self._degree = degree
-        self._terms = MappingProxyType(clean)
-
-    @property
-    def degree(self) -> int:
-        return self._degree
-
-    @property
-    def terms(self) -> Mapping[Partition, Fraction]:
-        return self._terms
-
-    def coefficient(self, rho: Partition) -> Fraction:
-        return self._terms.get(rho, Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PowerSumExpansion)
-            and self._degree == other._degree
-            and dict(self._terms) == dict(other._terms)
-        )
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"{c}*p{list(p.parts)}" for p, c in _sorted_terms(self._terms))
-        return f"PowerSumExpansion(degree={self._degree}, {body or '0'})"
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -264,16 +226,6 @@ def z_of(rho: Partition) -> int:
     return z
 
 
-def _partition_from_beta(beta: Iterable[int]) -> tuple[int, ...]:
-    bs = sorted(beta, reverse=True)
-    m = len(bs)
-    parts = tuple(bs[i] - (m - 1 - i) for i in range(m))
-    end = len(parts)
-    while end and parts[end - 1] == 0:
-        end -= 1
-    return parts[:end]
-
-
 def _character_rec(
     mu: tuple[int, ...], rho: tuple[int, ...], memo: dict
 ) -> int:
@@ -286,15 +238,14 @@ def _character_rec(
     if cached is not None:
         return cached
     k, rest = rho[0], rho[1:]
-    m = len(mu)
-    beta = [mu[i] + m - 1 - i for i in range(m)]
+    beta = _beta_set(mu, len(mu))
     occupied = set(beta)
     total = 0
     for b in beta:
         t = b - k
         if t < 0 or t in occupied:
             continue
-        height = sum(1 for x in beta if t < x < b)
+        height = _beads_between(beta, t, b)
         new_mu = _partition_from_beta((occupied - {b}) | {t})
         term = _character_rec(new_mu, rest, memo)
         total += -term if height % 2 else term
@@ -333,47 +284,6 @@ def character(
     if cache is not None:
         return cache.value(mu, rho)
     return _character_rec(mu.parts, rho.parts, {})
-
-
-def schur_to_power(
-    mu: Partition, cache: CharacterCache | None = None
-) -> PowerSumExpansion:
-    """s_mu = sum over rho of chi^mu(rho)/z_rho * p_rho."""
-    if cache is None:
-        cache = CharacterCache()  # memo shared across this call only
-    terms = {}
-    for rho in all_partitions(mu.size):
-        chi = character(mu, rho, cache)
-        if chi:
-            terms[rho] = Fraction(chi, z_of(rho))
-    return PowerSumExpansion(mu.size, terms)
-
-
-def power_to_schur(
-    f: PowerSumExpansion, cache: CharacterCache | None = None
-) -> SchurExpansion:
-    """Inverse basis change via <p_rho, p_sigma> = z_rho delta: the Schur
-    coefficient at lam is sum over rho of chi^lam(rho) * coeff_rho(f).
-
-    Raises NonIntegralResultError if any coefficient fails to be an exact
-    integer; callers only convert images of integral Schur expansions.
-    """
-    if cache is None:
-        cache = CharacterCache()
-    terms = {}
-    for lam in all_partitions(f.degree):
-        val = Fraction(0)
-        for rho, coeff in f.terms.items():
-            chi = character(lam, rho, cache)
-            if chi:
-                val += chi * coeff
-        if val:
-            if val.denominator != 1:
-                raise NonIntegralResultError(
-                    f"coefficient of s_{list(lam.parts)} is {val}, not an integer"
-                )
-            terms[lam] = int(val)
-    return SchurExpansion(f.degree, terms)
 
 
 def _partition_tuples(n: int, total: int) -> Iterator[tuple[Partition, ...]]:

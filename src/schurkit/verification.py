@@ -186,16 +186,18 @@ def _plethysm_support_violation(
     return None
 
 
+def containment_counts(mu: Partition, nu: Partition) -> tuple[int, int]:
+    """(number of partitions of |mu||nu|, how many contain nu)."""
+    candidates = all_partitions(mu.size * nu.size)
+    passing = sum(1 for lam in candidates if plethysm_filter_check(nu, lam))
+    return (len(candidates), passing)
+
+
 def plethysm_stats(
     mu: Partition, nu: Partition, cache: CharacterCache | None = None
 ) -> tuple[int, int, int]:
-    """(number of partitions of |mu||nu|, how many pass the containment
-    filter, size of the actual support of s_mu o s_nu)."""
-    degree = mu.size * nu.size
-    candidates = all_partitions(degree)
-    passing = sum(1 for lam in candidates if plethysm_filter_check(nu, lam))
-    support = len(schur_plethysm(mu, nu, cache))
-    return (len(candidates), passing, support)
+    """containment_counts plus the size of the actual support of s_mu o s_nu."""
+    return (*containment_counts(mu, nu), len(schur_plethysm(mu, nu, cache)))
 
 
 def run_scope(
