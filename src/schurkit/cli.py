@@ -157,6 +157,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max < 0:
+        return _usage(f"verify --max must be a degree >= 0, got {args.max}")
     started = time.perf_counter()
     inputs = {"scope": args.scope, "max_degree": args.max}
     reports = run_scope(args.scope, args.max)

@@ -149,7 +149,8 @@ def reconstruct(n: int, core: Partition, quotient: Sequence[Partition]) -> Parti
         # component lifts them by its parts; the padding above guarantees
         # every runner has more beads than its component has parts
         k = sum(1 for b in beta if b % n == i)
-        assert k >= len(q)
+        if k < len(q):
+            raise ValueError(f"runner {i} has {k} beads for {len(q)} parts")
         positions.extend(i + n * b for b in _beta_set(q, k))
     return Partition(_partition_from_beta(positions))
 

@@ -4,10 +4,12 @@ Expansions are immutable maps from Partition to an int coefficient, always
 homogeneous and zero-free; no floats anywhere.  Plethysm weights are exact
 fractions.Fraction values that must clear to integers.
 
-Littlewood-Richardson coefficients are counted by backtracking over skew
-semistandard fillings with the lattice-word condition checked incrementally.
-That path is deliberately independent of the character-based computations so
-the two can cross-check each other (see the oracle module).
+Littlewood-Richardson coefficients come from one walk that grows LR
+tableaux strip by strip: each row of the content is added as a horizontal
+strip with the lattice-word condition kept row by row, so every leaf is one
+LR tableau and no candidate shape is ever tested.  That path is deliberately
+independent of the character-based computations so the two can cross-check
+each other (see the oracle module).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import factorial
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .partitions import Partition, all_partitions, partitions_of
+from .partitions import Partition, all_partitions
 from .quotients import (
     _beads_between,
     _beta_set,
@@ -110,72 +112,85 @@ class SchurExpansion:
         }
 
 
+_UNBOUNDED = 1 << 62  # no cap: above row 0, and on letter 1's lattice slack
+
+
+def _lr_walk(
+    inner: tuple[int, ...],
+    content: tuple[int, ...],
+    outer: tuple[int, ...] | None = None,
+) -> dict[tuple[int, ...], int]:
+    """Every shape lam with c^lam_{inner,content} != 0, mapped to that
+    coefficient; only shapes inside ``outer`` when it is given.
+
+    Content row k is added as a horizontal strip of letter k+1, one row at a
+    time from the top (English order).  Row r gains at most old[r-1] - old[r]
+    cells (columns stay strict), at most outer[r] - old[r], and at most what
+    the lattice rule leaves: the k+1s in rows <= r may not outnumber the ks
+    in rows < r.  A branch is dropped as soon as the cells still to place
+    exceed old[r-1], all the room left below.  Each leaf is one LR tableau.
+    """
+    if outer is not None and (
+        len(inner) > len(outer) or any(a > b for a, b in zip(inner, outer))
+    ):
+        return {}
+    if not content:
+        return {inner: 1}
+    rows = len(inner) + len(content)  # each strip opens at most one new row
+    if outer is not None:
+        rows = min(rows, len(outer))
+    shape = list(inner) + [0] * (rows - len(inner))
+    last = len(content) - 1
+    leaves: dict[tuple[int, ...], int] = defaultdict(int)
+
+    def grow(k, r, left, slack, above, prev, strip) -> None:
+        # place `left` more cells of letter k+1 from row r down; `above` is
+        # row r-1 before this strip, `slack` the lattice allowance at row r,
+        # `prev` and `strip` the cells of letters k and k+1 in each row
+        if not left:
+            if k == last:
+                leaves[tuple(shape)] += 1
+            else:
+                grow(k + 1, 0, content[k + 1], 0, _UNBOUNDED, strip, [0] * rows)
+            return
+        if left > above or r == rows:
+            return
+        old = shape[r]
+        hi = above - old  # plain compares: min() is a measurable cost here
+        if slack < hi:
+            hi = slack
+        if left < hi:
+            hi = left
+        if outer is not None and outer[r] - old < hi:
+            hi = outer[r] - old
+        lo = left - old if left > old else 0  # rows below hold at most old
+        gained = prev[r]
+        for x in range(hi, lo - 1, -1):
+            shape[r] = old + x
+            strip[r] = x
+            grow(k, r + 1, left - x, slack - x + gained, old, prev, strip)
+        shape[r] = old
+        strip[r] = 0
+
+    grow(0, 0, content[0], _UNBOUNDED, _UNBOUNDED, [0] * rows, [0] * rows)
+    # zeros only trail a partition, so counting them trims the padding
+    return {lam[: len(lam) - lam.count(0)]: c for lam, c in leaves.items()}
+
+
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient: the number of semistandard skew
-    fillings of lam/mu with content nu whose reverse reading word is a
-    lattice word.  Returns 0 on size mismatch or failed containment."""
-    if lam.size != mu.size + nu.size or not lam.contains(mu):
-        return 0
-    if not lam.contains(nu):  # the coefficient is symmetric in mu, nu
-        return 0
-    if not nu:
-        return 1
-    letters = len(nu)
-    # reading order: rows by decreasing part (English top row first), right
-    # to left within each row; the neighbours each cell must respect are
-    # then already filled when the cell is visited
-    cells = [
-        (i, j) for i in range(len(lam)) for j in range(lam[i] - 1, mu[i] - 1, -1)
-    ]
-    grid = [[0] * lam[i] for i in range(len(lam))]
-    remaining = list(nu.parts)
-    counts = [0] * (letters + 1)
-
-    def rec(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        i, j = cells[idx]
-        hi = grid[i][j + 1] if j + 1 < lam[i] else letters
-        lo = 1
-        if i > 0 and j >= mu[i - 1]:
-            lo = grid[i - 1][j] + 1
-        total = 0
-        for a in range(lo, hi + 1):
-            if remaining[a - 1] == 0:
-                continue
-            if a > 1 and counts[a - 1] <= counts[a]:
-                continue
-            grid[i][j] = a
-            remaining[a - 1] -= 1
-            counts[a] += 1
-            total += rec(idx + 1)
-            grid[i][j] = 0
-            remaining[a - 1] += 1
-            counts[a] -= 1
-        return total
-
-    return rec(0)
+    """Littlewood-Richardson coefficient: the number of LR tableaux of shape
+    lam/mu and content nu, counted by the strip walk restricted to lam.
+    Returns 0 on size mismatch or failed containment."""
+    return _lr_walk(mu.parts, nu.parts, lam.parts).get(lam.parts, 0)
 
 
 @lru_cache(maxsize=8192)
 def _pair_product(mu: Partition, nu: Partition) -> Mapping[Partition, int]:
-    """s_mu * s_nu as a term dict.  Candidate shapes are partitions of the
-    right size containing mu with first part and length bounded by the rule;
-    the smaller factor is used as tableau content."""
-    if not mu:
-        return MappingProxyType({nu: 1})
-    if not nu:
-        return MappingProxyType({mu: 1})
-    inner, content = (mu, nu) if nu.size <= mu.size else (nu, mu)
-    out = {}
-    for lam in partitions_of(
-        mu.size + nu.size, max_part=mu[0] + nu[0], max_length=len(mu) + len(nu)
-    ):
-        if lam.contains(inner):
-            c = lr_coefficient(lam, inner, content)
-            if c:
-                out[lam] = c
-    return MappingProxyType(out)
+    """s_mu * s_nu as a term dict: one unbounded walk, with the factor of
+    fewer rows as content (the walk branches per row and letter)."""
+    inner, content = (mu, nu) if len(nu) <= len(mu) else (nu, mu)
+    walk = _lr_walk(inner.parts, content.parts)
+    return MappingProxyType({Partition(lam): c for lam, c in walk.items()})
 
 
 def schur_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
@@ -299,32 +314,22 @@ def _partition_tuples(n: int, total: int) -> Iterator[tuple[Partition, ...]]:
 
 
 def _product_coefficient(lam: Partition, factors: Iterable[Partition]) -> int:
-    """<s_lam, s_{f_0} * s_{f_1} * ...> by folding binary products, keeping
-    only intermediate shapes contained in lam (no other shape can grow into
-    lam under further multiplication)."""
+    """<s_lam, s_{f_0} * s_{f_1} * ...> by folding walks bounded by lam (no
+    other shape can grow into lam under further multiplication); the last
+    step can only reach lam itself."""
     fs = sorted((f for f in factors if f), key=lambda p: p.size, reverse=True)
     if not fs:
         return 1 if not lam else 0
-    if sum(f.size for f in fs) != lam.size or not lam.contains(fs[0]):
+    if sum(f.size for f in fs) != lam.size:
         return 0
-    if len(fs) == 1:
-        return 1  # containment plus equal size forces equality
-    current = {fs[0]: 1}
-    for f in fs[1:-1]:
-        nxt: dict[Partition, int] = defaultdict(int)
+    current = {fs[0].parts: 1}
+    for f in fs[1:]:
+        nxt: dict[tuple[int, ...], int] = defaultdict(int)
         for sig, mult in current.items():
-            for tau in partitions_of(
-                sig.size + f.size, max_part=lam[0], max_length=len(lam)
-            ):
-                if tau.contains(sig) and lam.contains(tau):
-                    c = lr_coefficient(tau, sig, f)
-                    if c:
-                        nxt[tau] += mult * c
-        if not nxt:
-            return 0
-        current = dict(nxt)
-    last = fs[-1]
-    return sum(mult * lr_coefficient(lam, sig, last) for sig, mult in current.items())
+            for tau, c in _lr_walk(sig, f.parts, lam.parts).items():
+                nxt[tau] += mult * c
+        current = nxt
+    return current.get(lam.parts, 0)
 
 
 @lru_cache(maxsize=1024)

@@ -187,9 +187,10 @@ def _plethysm_support_violation(
 
 
 def containment_counts(mu: Partition, nu: Partition) -> tuple[int, int]:
-    """(number of partitions of |mu||nu|, how many contain nu)."""
+    """(number of partitions of |mu||nu|, how many pass the containment filter;
+    s_() o s_nu = 1 passes, as in _plethysm_support_violation)."""
     candidates = all_partitions(mu.size * nu.size)
-    passing = sum(1 for lam in candidates if plethysm_filter_check(nu, lam))
+    passing = sum(1 for lam in candidates if not mu or plethysm_filter_check(nu, lam))
     return (len(candidates), passing)
 
 

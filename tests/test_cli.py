@@ -132,6 +132,16 @@ class TestStats:
         assert json.loads(capsys.readouterr().out)["output"]["actual_support"] == "2"
         assert len(calls) == 1
 
+    def test_empty_outer_support_within_filter(self, cli_env):
+        # s_() o s_2 = 1: the constant term passes the filter it is counted by
+        r = run_cli(["stats", "", "2"], cli_env)
+        assert r.returncode == 0
+        assert payload(r) == {
+            "total": "1",
+            "after_filter": "1",
+            "actual_support": "1",
+        }
+
     def test_final_remarks_statistic(self, cli_env):
         r = run_cli(["stats", "1,1", "4,2,2"], cli_env)
         assert payload(r) == {
@@ -146,6 +156,12 @@ class TestVerify:
         r = run_cli(["verify", "--scope", "lr", "--max", "0"], cli_env)
         assert r.returncode == 0
         assert payload(r)["status"] == "pass"
+
+    def test_negative_max_is_usage_error(self, cli_env):
+        r = run_cli(["verify", "--max", "-3"], cli_env)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "--max" in r.stderr
 
     def test_small_all(self, cli_env):
         r = run_cli(["verify", "--scope", "all", "--max", "4"], cli_env)

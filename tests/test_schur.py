@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -11,12 +12,14 @@ from schurkit import (
     character,
     lr_coefficient,
     multi_schur_product,
+    partitions_of,
     schur_plethysm,
     schur_product,
     sxp_plethysm,
     z_of,
 )
 from schurkit.oracle import _p_to_schur, _schur_in_p
+from schurkit.schur import _lr_walk, _pair_product, _product_coefficient
 
 P = Partition
 
@@ -53,6 +56,86 @@ class TestLRCoefficient:
                             assert lr_coefficient(lam, mu, nu) == lr_coefficient(
                                 lam, nu, mu
                             )
+
+
+def principal(lam, k):
+    """s_lam(1^k) by the hook-content formula."""
+    conj = lam.conjugate()
+    num = prod(k + j - i for i in range(len(lam)) for j in range(lam[i]))
+    hooks = prod(
+        lam[i] - j + conj[j] - i - 1 for i in range(len(lam)) for j in range(lam[i])
+    )
+    assert num % hooks == 0
+    return num // hooks
+
+
+# |mu| + |nu| from 16 to 26, past the oracle sweep's degree 10
+BIG_PAIRS = [
+    (P([4, 3, 2, 1]), P([3, 2, 1])),
+    (P([5, 3, 1]), P([4, 2, 2])),
+    (P([6, 4, 2]), P([3, 2, 1])),
+    (P([4, 4, 2, 1]), P([3, 3, 2])),
+    (P([5, 4, 3, 2, 1]), P([2, 2, 1])),
+    (P([6, 3, 2]), P([5, 3, 2, 1])),
+    (P([3, 3, 3, 3]), P([4, 4, 2, 2])),
+    (P([5, 4, 3, 2]), P([4, 3, 2, 1])),
+    (P([6, 5, 3, 1]), P([4, 3, 2, 2])),
+    (P([2, 2, 2, 2, 2, 1, 1]), P([7, 6])),
+]
+
+
+class TestLRPastOracle:
+    """Exact identities that check whole products at degrees the oracle
+    sweeps do not reach."""
+
+    @pytest.mark.parametrize("mu,nu", BIG_PAIRS)
+    def test_principal_specialization(self, mu, nu):
+        terms = _pair_product(mu, nu)
+        assert all(lam.size == mu.size + nu.size for lam in terms)
+        for k in (1, 2, 3, 5, 8, 13):
+            expected = principal(mu, k) * principal(nu, k)
+            assert sum(c * principal(lam, k) for lam, c in terms.items()) == expected
+
+    @pytest.mark.parametrize("mu,nu", BIG_PAIRS)
+    def test_conjugation_symmetry(self, mu, nu):
+        conj = _pair_product(mu.conjugate(), nu.conjugate())
+        assert {lam.conjugate(): c for lam, c in conj.items()} == dict(
+            _pair_product(mu, nu)
+        )
+
+    @pytest.mark.parametrize("mu,nu", BIG_PAIRS)
+    def test_lr_coefficient_matches_pair_product(self, mu, nu):
+        terms = _pair_product(mu, nu)
+        shapes = partitions_of(
+            mu.size + nu.size, max_part=mu[0] + nu[0], max_length=len(mu) + len(nu)
+        )
+        outside = 0
+        for lam in shapes:
+            outside += lam not in terms
+            assert lr_coefficient(lam, mu, nu) == terms.get(lam, 0)
+        assert outside > 0
+
+    @pytest.mark.parametrize("mu,nu", BIG_PAIRS)
+    def test_bounded_walk_keeps_shapes_inside_outer(self, mu, nu):
+        box = P([mu[0] + nu[0] - 2] * (len(mu) + len(nu) - 1))
+        terms = _pair_product(mu, nu)
+        inside = {lam.parts: c for lam, c in terms.items() if box.contains(lam)}
+        assert 0 < len(inside) < len(terms)
+        assert _lr_walk(mu.parts, nu.parts, box.parts) == inside
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [P([3, 2]), P([2, 1]), P([2, 1])],
+            [P([4, 2]), P([3, 1, 1]), P([2, 2])],
+            [P([2, 1]), P([2, 1]), P([2, 1]), P([2, 1])],
+            [P([3, 1]), P([1, 1, 1]), P([2, 2]), P([3])],
+        ],
+    )
+    def test_product_coefficient_matches_product(self, factors):
+        product = multi_schur_product(factors)
+        for lam in all_partitions(product.degree):
+            assert _product_coefficient(lam, factors) == product.coefficient(lam)
 
 
 class TestSchurProduct:
