@@ -7,102 +7,120 @@ and the basis change between Schur functions and power sums lives only
 here, so a bug in tableau enumeration or the abacus machinery cannot hide.
 A shared character bug would still be caught by the orthogonality sweep in
 the test suite.
+
+The basis change is the character table (Macdonald, I.7): s_mu is the sum
+over rho of chi^mu(rho) p_rho / z_rho, and the coefficient of s_lam in
+sum_rho c_rho p_rho is sum_rho c_rho chi^lam(rho).  Each degree's table is
+built once, as int rows together with the class sizes n!/z_rho.  Power-sum
+vectors hold scaled integers keyed by part tuples (``_schur_in_p(mu)`` is
+|mu|! s_mu), so every sum is exact integer arithmetic, and ``_p_to_schur``
+divides by the scale once per coefficient; a nonzero remainder raises
+NonIntegralResultError.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+from operator import mul
 
 from .partitions import Partition, all_partitions
 from .schur import CharacterCache, NonIntegralResultError, SchurExpansion, character, z_of
 
-_PDict = dict[Partition, Fraction]
+_PVec = dict[tuple[int, ...], int]  # power-sum coefficients keyed by rho's parts
 
 
-def _schur_in_p(mu: Partition, cache: CharacterCache | None) -> _PDict:
-    out = {}
-    for rho in all_partitions(mu.size):
-        chi = character(mu, rho, cache)
-        if chi:
-            out[rho] = Fraction(chi, z_of(rho))
-    return out
+@lru_cache(maxsize=32)
+def _table(n: int):
+    """The character table of S_n as (partitions, index, rows, class_sizes):
+    all partitions of n, which order both rows and columns; the position of
+    each by its parts; rows[i][j] = chi^partitions[i](partitions[j]) as ints;
+    and n!/z_rho for each column rho."""
+    parts = all_partitions(n)
+    cache = CharacterCache()
+    rows = tuple(tuple(character(lam, rho, cache) for rho in parts) for lam in parts)
+    index = {p.parts: i for i, p in enumerate(parts)}
+    return parts, index, rows, tuple(factorial(n) // z_of(rho) for rho in parts)
 
 
-def _p_mult(a: _PDict, b: _PDict) -> _PDict:
+def _schur_in_p(mu: Partition) -> _PVec:
+    """|mu|! s_mu: chi^mu(rho) times the class size of rho."""
+    parts, index, rows, class_sizes = _table(mu.size)
+    row = rows[index[mu.parts]]
+    return {
+        rho.parts: chi * size
+        for rho, chi, size in zip(parts, row, class_sizes)
+        if chi
+    }
+
+
+def _p_mult(a: _PVec, b: _PVec) -> _PVec:
     # p_alpha * p_beta = p_{alpha union beta}
-    out: _PDict = defaultdict(Fraction)
+    out: _PVec = defaultdict(int)
     for rho, x in a.items():
         for sig, y in b.items():
-            out[rho.union(sig)] += x * y
+            out[tuple(sorted(rho + sig, reverse=True))] += x * y
     return {k: v for k, v in out.items() if v}
 
 
-def _p_stretch(a: _PDict, n: int) -> _PDict:
+def _p_stretch(a: _PVec, n: int) -> _PVec:
     # p_n o p_rho multiplies every part by n; coefficients ride along
-    return {Partition(n * part for part in rho): c for rho, c in a.items()}
+    return {tuple(n * part for part in rho): c for rho, c in a.items()}
 
 
-def _p_to_schur(
-    degree: int, pterms: _PDict, cache: CharacterCache | None
-) -> SchurExpansion:
+def _p_to_schur(degree: int, pterms: _PVec, scale: int) -> SchurExpansion:
+    """The Schur expansion of pterms / scale, where pterms has the given degree."""
+    parts, index, rows, _ = _table(degree)
+    column = [0] * len(parts)
+    for rho, c in pterms.items():
+        column[index[rho]] = c
     terms = {}
-    for lam in all_partitions(degree):
-        val = Fraction(0)
-        for rho, coeff in pterms.items():
-            chi = character(lam, rho, cache)
-            if chi:
-                val += chi * coeff
+    for lam, row in zip(parts, rows):
+        val = sum(map(mul, row, column))
         if val:
-            if val.denominator != 1:
+            coeff, rem = divmod(val, scale)
+            if rem:
                 raise NonIntegralResultError(
-                    f"oracle coefficient of s_{list(lam.parts)} is {val}"
+                    f"oracle coefficient of s_{list(lam.parts)} is {val}/{scale}"
                 )
-            terms[lam] = int(val)
+            terms[lam] = coeff
     return SchurExpansion(degree, terms)
 
 
-def oracle_product(
-    mu: Partition, nu: Partition, cache: CharacterCache | None = None
-) -> SchurExpansion:
+def oracle_product(mu: Partition, nu: Partition) -> SchurExpansion:
     """s_mu * s_nu computed by multiplying the power-sum images."""
-    if cache is None:
-        cache = CharacterCache()  # memo shared across this call only
-    prod = _p_mult(_schur_in_p(mu, cache), _schur_in_p(nu, cache))
-    return _p_to_schur(mu.size + nu.size, prod, cache)
+    prod = _p_mult(_schur_in_p(mu), _schur_in_p(nu))
+    return _p_to_schur(
+        mu.size + nu.size, prod, factorial(mu.size) * factorial(nu.size)
+    )
 
 
-def oracle_power_plethysm(
-    n: int, lam: Partition, cache: CharacterCache | None = None
-) -> SchurExpansion:
+def oracle_power_plethysm(n: int, lam: Partition) -> SchurExpansion:
     """p_n o s_lam computed by stretching the power-sum image of s_lam."""
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
-    if cache is None:
-        cache = CharacterCache()
-    stretched = _p_stretch(_schur_in_p(lam, cache), n)
-    return _p_to_schur(n * lam.size, stretched, cache)
+    stretched = _p_stretch(_schur_in_p(lam), n)
+    return _p_to_schur(n * lam.size, stretched, factorial(lam.size))
 
 
-def oracle_plethysm(
-    mu: Partition, nu: Partition, cache: CharacterCache | None = None
-) -> SchurExpansion:
+def oracle_plethysm(mu: Partition, nu: Partition) -> SchurExpansion:
     """s_mu o s_nu from the defining expansion
     sum over rho of chi^mu(rho)/z_rho * p_rho o s_nu,
-    with p_rho o s_nu evaluated in the power-sum basis throughout."""
-    if cache is None:
-        cache = CharacterCache()
-    base = _schur_in_p(nu, cache)
-    acc: _PDict = defaultdict(Fraction)
-    for rho in all_partitions(mu.size):
-        chi = character(mu, rho, cache)
-        if chi == 0:
-            continue
-        term: _PDict = {Partition(): Fraction(1)}
+    with p_rho o s_nu evaluated in the power-sum basis throughout.
+
+    With m = |mu| and d = |nu|, the rho term is scaled by m! through the
+    class size, and by d! per part of rho through |nu|! s_nu; padding it by
+    d!^(m - len rho) puts every term over the common scale m! d!^m."""
+    m, d = mu.size, nu.size
+    base = _schur_in_p(nu)
+    stretched = {k: _p_stretch(base, k) for k in range(1, m + 1)}
+    dfact = factorial(d)
+    acc: _PVec = defaultdict(int)
+    for rho, weight in _schur_in_p(mu).items():
+        term: _PVec = {(): weight * dfact ** (m - len(rho))}
         for part in rho:
-            term = _p_mult(term, _p_stretch(base, part))
-        weight = Fraction(chi, z_of(rho))
+            term = _p_mult(term, stretched[part])
         for sig, c in term.items():
-            acc[sig] += weight * c
-    acc = {k: v for k, v in acc.items() if v}
-    return _p_to_schur(mu.size * nu.size, acc, cache)
+            acc[sig] += c
+    return _p_to_schur(m * d, acc, factorial(m) * dfact**m)

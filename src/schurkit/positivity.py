@@ -92,12 +92,11 @@ def sxp_upper_bound(n: int, lam: Partition) -> BoundPair:
     A partition mu there has size n|lam| and contains lam, so its r-th row
     is at most (n|lam| - |tail of lam after row r|) / r; the same argument on
     columns (via the conjugate) gives a second bound, and the support lies
-    inside the intersection of the two.
+    inside the intersection of the two.  For the empty lam all three are
+    empty, since p_n o s_() = s_().
     """
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
-    if not lam:
-        raise ValueError("sxp_upper_bound requires a non-empty partition")
     xi1 = Partition(_row_caps(n, lam))
     col_caps = _row_caps(n, lam.conjugate())
     xi2 = Partition(col_caps).conjugate()
@@ -154,8 +153,6 @@ def enumerate_candidates(n: int, lam: Partition) -> list[Partition]:
     """
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
-    if not lam:
-        return [Partition()]
     upper = sxp_upper_bound(n, lam).intersection
     out = []
     for mu in partitions_of(n * lam.size, max_part=upper[0], max_length=len(upper)):

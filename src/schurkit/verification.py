@@ -53,7 +53,7 @@ def _expansion_mismatch(fast: SchurExpansion, slow: SchurExpansion) -> dict | No
     return {"kind": "oracle mismatch", "diff_fast_vs_oracle": diff}
 
 
-def check_products(max_degree: int, cache: CharacterCache | None = None) -> SweepReport:
+def check_products(max_degree: int) -> SweepReport:
     """schur_product vs oracle_product for all pairs with |mu|+|nu| <= max,
     plus the dominance and Minkowski-corner support bounds."""
     report = SweepReport("lr")
@@ -65,7 +65,7 @@ def check_products(max_degree: int, cache: CharacterCache | None = None) -> Swee
                     fast = schur_product(
                         SchurExpansion(a, {mu: 1}), SchurExpansion(b, {nu: 1})
                     )
-                    bad = _expansion_mismatch(fast, oracle_product(mu, nu, cache))
+                    bad = _expansion_mismatch(fast, oracle_product(mu, nu))
                     if bad is None:
                         bad = _product_support_violation(mu, nu, fast)
                     if bad is not None:
@@ -88,7 +88,7 @@ def _product_support_violation(
     return None
 
 
-def check_sxp(max_degree: int, cache: CharacterCache | None = None) -> SweepReport:
+def check_sxp(max_degree: int) -> SweepReport:
     """sxp_plethysm vs the oracle's power-sum route for n <= 3 and result
     degree n|lam| <= max, plus the lower/upper bounds and the empty-core
     property of the support."""
@@ -98,7 +98,7 @@ def check_sxp(max_degree: int, cache: CharacterCache | None = None) -> SweepRepo
             for lam in all_partitions(size):
                 report.cases += 1
                 fast = sxp_plethysm(n, lam)
-                bad = _expansion_mismatch(fast, oracle_power_plethysm(n, lam, cache))
+                bad = _expansion_mismatch(fast, oracle_power_plethysm(n, lam))
                 if bad is None:
                     bad = _sxp_support_violation(n, lam, fast)
                 if bad is not None:
@@ -111,11 +111,11 @@ def check_sxp(max_degree: int, cache: CharacterCache | None = None) -> SweepRepo
 def _sxp_support_violation(
     n: int, lam: Partition, expansion: SchurExpansion
 ) -> dict | None:
-    upper = sxp_upper_bound(n, lam).intersection if lam else None
+    upper = sxp_upper_bound(n, lam).intersection
     for mu in expansion.support():
         if not sxp_lower_check(lam, mu):
             return {"kind": "lower bound violated", "mu": mu.to_list()}
-        if upper is not None and not upper.contains(mu):
+        if not upper.contains(mu):
             return {"kind": "upper bound violated", "mu": mu.to_list()}
         if decompose(mu, n).core:
             return {"kind": "support has non-empty core", "mu": mu.to_list()}
@@ -145,7 +145,7 @@ def check_plethysm(
     for mu, nu in pairs:
         report.cases += 1
         fast = schur_plethysm(mu, nu, cache)
-        bad = _expansion_mismatch(fast, oracle_plethysm(mu, nu, cache))
+        bad = _expansion_mismatch(fast, oracle_plethysm(mu, nu))
         if bad is None:
             bad = _plethysm_support_violation(mu, nu, fast)
         if bad is not None:
@@ -205,15 +205,15 @@ def run_scope(
     scope: str, max_degree: int, cache: CharacterCache | None = None
 ) -> list[SweepReport]:
     if scope == "lr":
-        return [check_products(max_degree, cache)]
+        return [check_products(max_degree)]
     if scope == "sxp":
-        return [check_sxp(max_degree, cache)]
+        return [check_sxp(max_degree)]
     if scope == "plethysm":
         return [check_plethysm(max_degree, cache)]
     if scope == "all":
         return [
-            check_products(max_degree, cache),
-            check_sxp(max_degree, cache),
+            check_products(max_degree),
+            check_sxp(max_degree),
             check_plethysm(max_degree, cache),
         ]
     raise ValueError(f"unknown scope {scope!r}")

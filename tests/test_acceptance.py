@@ -152,15 +152,15 @@ def test_criterion_6_extreme_coefficient_closed_forms():
 def sweep_reports(char_cache):
     started = time.perf_counter()
     reports = {
-        "lr": check_products(10, char_cache),
-        "sxp": check_sxp(15, char_cache),
+        "lr": check_products(12),
+        "sxp": check_sxp(15),
         "plethysm": check_plethysm(12, char_cache),
     }
     reports["elapsed"] = time.perf_counter() - started
     return reports
 
 
-@criterion("7 oracle equivalence: products <= 10, sxp degree <= 15 (n <= 3), plethysm <= 12")
+@criterion("7 oracle equivalence: products <= 12, sxp degree <= 15 (n <= 3), plethysm <= 12")
 def test_criterion_7_oracle_equivalence(sweep_reports):
     for scope in ("lr", "sxp", "plethysm"):
         r = sweep_reports[scope]

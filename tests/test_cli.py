@@ -77,6 +77,14 @@ class TestFilter:
         assert len(out["candidates"]) == 22
         assert [6, 4] in out["candidates"]
 
+    def test_sxp_empty_lambda(self, cli_env):
+        r = run_cli(["filter", "sxp", "-n", "2", "-l", "", "--candidates"], cli_env)
+        assert r.returncode == 0
+        assert '"candidates":[[]]' in r.stdout
+        out = payload(r)
+        assert out["intersection"] == []
+        assert out["candidates"] == [[]]
+
     def test_plethysm_stdin_stream(self, cli_env):
         lines = "\n".join(["[4,2,2]", "[16]", "[5,5,3,3]", "[8,4,2,1,1]"]) + "\n"
         r = run_cli(["filter", "plethysm", "-v", "4,2,2"], cli_env, stdin=lines)

@@ -1,15 +1,23 @@
 import random
-from fractions import Fraction
 
-from schurkit import Partition, SchurExpansion, all_partitions, schur_product, sxp_plethysm
+from schurkit import (
+    Partition,
+    SchurExpansion,
+    all_partitions,
+    schur_product,
+    sxp_plethysm,
+    z_of,
+)
 from schurkit.oracle import (
     _p_mult,
     _p_stretch,
     _schur_in_p,
+    _table,
     oracle_plethysm,
     oracle_power_plethysm,
     oracle_product,
 )
+from schurkit.verification import check_products
 
 P = Partition
 
@@ -27,20 +35,20 @@ class TestOracleProduct:
     def test_identity(self):
         assert oracle_product(P([4, 2]), P()) == single(P([4, 2]))
 
-    def test_single_coefficient_cross_path(self, char_cache):
+    def test_single_coefficient_cross_path(self):
         from schurkit import lr_coefficient
 
-        got = oracle_product(P([3, 2]), P([1, 1]), char_cache)
+        got = oracle_product(P([3, 2]), P([1, 1]))
         assert got.coefficient(P([4, 3])) == lr_coefficient(
             P([4, 3]), P([3, 2]), P([1, 1])
         )
 
-    def test_matches_main_path_small(self, char_cache):
+    def test_matches_main_path_small(self):
         for a in range(4):
             for mu in all_partitions(a):
                 for b in range(4):
                     for nu in all_partitions(b):
-                        assert oracle_product(mu, nu, char_cache) == schur_product(
+                        assert oracle_product(mu, nu) == schur_product(
                             single(mu), single(nu)
                         )
 
@@ -55,47 +63,61 @@ class TestOraclePlethysm:
             4, {P([2, 2]): 1, P([1, 1, 1, 1]): 1}
         )
 
-    def test_final_remarks_support(self, char_cache):
-        e = oracle_plethysm(P([1, 1]), P([4, 2, 2]), char_cache)
+    def test_final_remarks_support(self):
+        e = oracle_plethysm(P([1, 1]), P([4, 2, 2]))
         assert len(e) == 40
 
-    def test_power_route_matches_sxp(self, char_cache):
+    def test_power_route_matches_sxp(self):
         for n in (1, 2, 3):
             for size in range(5):
                 for lam in all_partitions(size):
-                    assert oracle_power_plethysm(n, lam, char_cache) == sxp_plethysm(
-                        n, lam
-                    )
+                    assert oracle_power_plethysm(n, lam) == sxp_plethysm(n, lam)
 
 
 class TestPowerBasisAlgebra:
-    def _random_pdict(self, rng, degree):
+    """Power-sum vectors are integers keyed by part tuples."""
+
+    def _random_pvec(self, rng, degree):
         terms = {}
         for rho in all_partitions(degree):
             if rng.random() < 0.4:
-                terms[rho] = Fraction(rng.randint(-3, 3))
+                terms[rho.parts] = rng.randint(-3, 3)
         return {k: v for k, v in terms.items() if v}
 
-    def test_stretch_is_multiplicative(self, char_cache):
+    def test_stretch_is_multiplicative(self):
         # p_n o (f * g) == (p_n o f) * (p_n o g)
         rng = random.Random(3)
         for _ in range(20):
-            f = self._random_pdict(rng, rng.randint(1, 4))
-            g = self._random_pdict(rng, rng.randint(1, 4))
+            f = self._random_pvec(rng, rng.randint(1, 4))
+            g = self._random_pvec(rng, rng.randint(1, 4))
             for n in (2, 3):
                 lhs = _p_stretch(_p_mult(f, g), n)
                 rhs = _p_mult(_p_stretch(f, n), _p_stretch(g, n))
                 assert lhs == rhs
 
     def test_stretch_of_schur_image(self):
-        f = _schur_in_p(P([2]), None)
-        doubled = _p_stretch(f, 2)
-        assert doubled == {
-            P([2, 2]): Fraction(1, 2),
-            P([4]): Fraction(1, 2),
-        }
+        # 2! s_2 = p_{1,1} + p_2, so p_2 o (2! s_2) = p_{2,2} + p_4
+        doubled = _p_stretch(_schur_in_p(P([2])), 2)
+        assert doubled == {(2, 2): 1, (4,): 1}
 
     def test_p_mult_is_union(self):
-        f = {P([2]): Fraction(1)}
-        g = {P([3, 1]): Fraction(2)}
-        assert _p_mult(f, g) == {P([3, 2, 1]): Fraction(2)}
+        assert _p_mult({(2,): 1}, {(3, 1): 2}) == {(3, 2, 1): 2}
+
+
+class TestCharacterTable:
+    def test_column_orthogonality(self):
+        # sum over lam of chi^lam(rho) chi^lam(sigma) = delta_{rho,sigma} z_rho
+        for n in range(13):
+            parts, _, rows, _ = _table(n)
+            columns = list(zip(*rows))
+            for j, rho in enumerate(parts):
+                for k in range(j, len(columns)):
+                    dot = sum(a * b for a, b in zip(columns[j], columns[k]))
+                    assert dot == (z_of(rho) if j == k else 0), (n, rho, parts[k])
+
+    def test_one_table_per_degree(self):
+        _table.cache_clear()
+        assert check_products(6).ok
+        info = _table.cache_info()
+        assert info.misses == 7  # degrees 0 through 6
+        assert info.hits > 0

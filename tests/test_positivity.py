@@ -76,14 +76,15 @@ class TestSxpBounds:
         assert size_row_bound(10) == P([10, 5, 3, 2, 2, 1, 1, 1, 1, 1])
 
     def test_identity_exponent_contains_lambda(self):
-        for n in range(1, 7):
+        for n in range(7):
             for lam in all_partitions(n):
-                if lam:
-                    assert sxp_upper_bound(1, lam).intersection.contains(lam)
+                assert sxp_upper_bound(1, lam).intersection.contains(lam)
 
-    def test_empty_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            sxp_upper_bound(2, P())
+    def test_empty_lambda_bound(self):
+        # p_n o s_() = s_(), so every bound is the empty partition
+        for n in (1, 2, 5):
+            bp = sxp_upper_bound(n, P())
+            assert bp.xi1 == bp.xi2 == bp.intersection == P()
 
     def test_soundness(self):
         for n in (2, 3):

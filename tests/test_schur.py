@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -236,33 +236,32 @@ class TestZ:
 
     def test_class_equation(self):
         # sum over classes of n!/z equals n!
-        from math import factorial
-
         for n in range(1, 9):
             assert sum(factorial(n) // z_of(rho) for rho in all_partitions(n)) == factorial(n)
 
 
 class TestBasisChange:
-    """The oracle's Schur <-> power-sum basis change, the package's only one."""
+    """The oracle's Schur <-> power-sum basis change, the package's only one.
+    Power-sum vectors are scaled integers keyed by part tuples."""
 
     def test_e2_expansion(self):
-        e = _schur_in_p(P([1, 1]), None)
-        assert e == {P([1, 1]): Fraction(1, 2), P([2]): Fraction(-1, 2)}
+        # 2! e_2 = p_{1,1} - p_2
+        assert _schur_in_p(P([1, 1])) == {(1, 1): 1, (2,): -1}
 
     def test_round_trip(self):
         for n in range(7):
             for mu in all_partitions(n):
-                back = _p_to_schur(n, _schur_in_p(mu, None), None)
+                back = _p_to_schur(n, _schur_in_p(mu), factorial(n))
                 assert back == SchurExpansion(n, {mu: 1})
 
     def test_p2_in_schur(self):
-        back = _p_to_schur(2, {P([2]): Fraction(1)}, None)
+        back = _p_to_schur(2, {(2,): 1}, 1)
         assert back == SchurExpansion(2, {P([2]): 1, P([1, 1]): -1})
 
     def test_non_integral_rejected(self):
-        f = {P([2]): Fraction(1, 2)}
+        # p_2 / 2 has coefficient 1/2 on s_2
         with pytest.raises(NonIntegralResultError):
-            _p_to_schur(2, f, None)
+            _p_to_schur(2, {(2,): 1}, 2)
 
 
 class TestSxpPlethysm:
