@@ -1,7 +1,7 @@
 """Exact Littlewood-Richardson coefficients, Schur plethysm, and positivity
 pruning filters.
 
-All arithmetic is exact (ints and fractions); diagrams follow the French
+All arithmetic is exact integer arithmetic; diagrams follow the French
 convention with points given as (column, row), both 0-indexed from the
 bottom left.
 """
@@ -40,7 +40,6 @@ from .quotients import (
     sxp_sign,
 )
 from .schur import (
-    CharacterCache,
     NonIntegralResultError,
     SchurExpansion,
     character,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundPair",
-    "CharacterCache",
     "InfiniteRegionError",
     "NonEmptyCoreError",
     "NonIntegralResultError",

@@ -1,10 +1,11 @@
 """Brute-force reference computations, entirely in the power-sum basis.
 
 This module exists to cross-check the main path and is allowed to be slow.
-It shares only Partition, character and z_of with the rest of the package;
-products and plethysms are reimplemented here from the defining formulas,
-and the basis change between Schur functions and power sums lives only
-here, so a bug in tableau enumeration or the abacus machinery cannot hide.
+It shares only Partition, the Murnaghan-Nakayama recursion _character_rec
+and z_of with the rest of the package; products and plethysms are
+reimplemented here from the defining formulas, and the basis change between
+Schur functions and power sums lives only here, so a bug in tableau
+enumeration or the abacus machinery cannot hide.
 A shared character bug would still be caught by the orthogonality sweep in
 the test suite.
 
@@ -26,7 +27,7 @@ from math import factorial
 from operator import mul
 
 from .partitions import Partition, all_partitions
-from .schur import CharacterCache, NonIntegralResultError, SchurExpansion, character, z_of
+from .schur import NonIntegralResultError, SchurExpansion, _character_rec, z_of
 
 _PVec = dict[tuple[int, ...], int]  # power-sum coefficients keyed by rho's parts
 
@@ -36,10 +37,13 @@ def _table(n: int):
     """The character table of S_n as (partitions, index, rows, class_sizes):
     all partitions of n, which order both rows and columns; the position of
     each by its parts; rows[i][j] = chi^partitions[i](partitions[j]) as ints;
-    and n!/z_rho for each column rho."""
+    and n!/z_rho for each column rho.  One memo serves the whole table."""
     parts = all_partitions(n)
-    cache = CharacterCache()
-    rows = tuple(tuple(character(lam, rho, cache) for rho in parts) for lam in parts)
+    memo: dict = {}
+    rows = tuple(
+        tuple(_character_rec(lam.parts, rho.parts, memo) for rho in parts)
+        for lam in parts
+    )
     index = {p.parts: i for i, p in enumerate(parts)}
     return parts, index, rows, tuple(factorial(n) // z_of(rho) for rho in parts)
 

@@ -1,8 +1,8 @@
 """Sparse exact arithmetic in the Schur basis.
 
 Expansions are immutable maps from Partition to an int coefficient, always
-homogeneous and zero-free; no floats anywhere.  Plethysm weights are exact
-fractions.Fraction values that must clear to integers.
+homogeneous and zero-free; no floats anywhere.  Plethysm weights are ints
+scaled by |mu|!, divided out once per coefficient.
 
 Littlewood-Richardson coefficients come from one walk that grows LR
 tableaux strip by strip: each row of the content is added as a horizontal
@@ -14,9 +14,7 @@ each other (see the oracle module).
 
 from __future__ import annotations
 
-import threading
 from collections import Counter, defaultdict
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
@@ -47,12 +45,10 @@ class SchurExpansion:
     def __init__(self, degree: int, terms: Mapping[Partition, int]):
         clean = {}
         for lam, coeff in terms.items():
-            if isinstance(coeff, bool):
-                raise TypeError("Schur coefficients must be int, got bool")
+            if not isinstance(coeff, int) or isinstance(coeff, bool):
+                raise TypeError(f"Schur coefficients must be int, got {type(coeff)}")
             if coeff == 0:
                 continue
-            if not isinstance(coeff, int):
-                raise TypeError(f"Schur coefficients must be int, got {type(coeff)}")
             if lam.size != degree:
                 raise ValueError(
                     f"term {lam!r} has size {lam.size}, expected degree {degree}"
@@ -203,32 +199,12 @@ def schur_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
     return SchurExpansion(f.degree + g.degree, acc)
 
 
-def multi_schur_product(
-    mus: Iterable[Partition], prune: bool = False
-) -> SchurExpansion:
+def multi_schur_product(mus: Iterable[Partition]) -> SchurExpansion:
     """Product of Schur functions s_{mu_0} * s_{mu_1} * ... evaluated left to
-    right as binary products.
-
-    With ``prune=True`` every intermediate term is dropped unless contained
-    in the Minkowski-corner bound for the full factor list.  Intermediate
-    supports are contained in final supports cell-wise, so the pruning can
-    only remove terms that could never contribute; outputs are identical
-    either way.
-    """
-    factors = list(mus)
-    bound = None
-    if prune and factors:
-        from .positivity import lr_bound
-
-        bound = lr_bound(factors)
+    right as binary products."""
     out = SchurExpansion.unit()
-    for f in factors:
+    for f in mus:
         out = schur_product(out, SchurExpansion(f.size, {f: 1}))
-        if bound is not None:
-            out = SchurExpansion(
-                out.degree,
-                {lam: c for lam, c in out.terms.items() if bound.contains(lam)},
-            )
     return out
 
 
@@ -268,36 +244,12 @@ def _character_rec(
     return total
 
 
-class CharacterCache:
-    """Shared character memo with a linearizable get-or-compute contract.
-
-    The default behaviour of :func:`character` keeps its memo local to one
-    top-level call, which keeps memory predictable under exhaustive sweeps;
-    pass an instance of this class to share values across calls and threads.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._memo: dict = {}
-
-    def value(self, mu: Partition, rho: Partition) -> int:
-        with self._lock:
-            return _character_rec(mu.parts, rho.parts, self._memo)
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-
-def character(
-    mu: Partition, rho: Partition, cache: CharacterCache | None = None
-) -> int:
+def character(mu: Partition, rho: Partition) -> int:
     """Irreducible symmetric-group character chi^mu at cycle type rho."""
     if mu.size != rho.size:
         raise ValueError(
             f"character requires |mu| == |rho|, got {mu.size} and {rho.size}"
         )
-    if cache is not None:
-        return cache.value(mu, rho)
     return _character_rec(mu.parts, rho.parts, {})
 
 
@@ -363,32 +315,32 @@ def _power_plethysm(rho: Partition, nu: Partition) -> SchurExpansion:
     return out
 
 
-def schur_plethysm(
-    mu: Partition, nu: Partition, cache: CharacterCache | None = None
-) -> SchurExpansion:
+def schur_plethysm(mu: Partition, nu: Partition) -> SchurExpansion:
     """Plethysm s_mu o s_nu, assembled as
     sum over rho of chi^mu(rho)/z_rho * (p_rho o s_nu).
 
-    The rational weights always clear to integers; a surviving denominator
-    would be an internal bug and raises NonIntegralResultError.
+    With m = |mu|, each weight is scaled by m! into the int
+    chi^mu(rho) * m!/z_rho (the class size of rho times the character), and
+    each coefficient is divided by m! once.  The division is always exact; a
+    remainder would be an internal bug and raises NonIntegralResultError.
     """
-    if cache is None:
-        cache = CharacterCache()
-    acc: dict[Partition, Fraction] = defaultdict(Fraction)
-    for rho in all_partitions(mu.size):
-        chi = character(mu, rho, cache)
+    m = mu.size
+    scale = factorial(m)
+    memo: dict = {}
+    acc: dict[Partition, int] = defaultdict(int)
+    for rho in all_partitions(m):
+        chi = _character_rec(mu.parts, rho.parts, memo)
         if chi == 0:
             continue
-        weight = Fraction(chi, z_of(rho))
+        weight = chi * (scale // z_of(rho))
         for lam, c in _power_plethysm(rho, nu).terms.items():
             acc[lam] += weight * c
     terms = {}
-    for lam, q in acc.items():
-        if q == 0:
-            continue
-        if q.denominator != 1:
+    for lam, val in acc.items():
+        coeff, rem = divmod(val, scale)
+        if rem:
             raise NonIntegralResultError(
-                f"coefficient of s_{list(lam.parts)} is {q}, not an integer"
+                f"coefficient of s_{list(lam.parts)} is {val}/{scale}, not an integer"
             )
-        terms[lam] = int(q)
-    return SchurExpansion(mu.size * nu.size, terms)
+        terms[lam] = coeff
+    return SchurExpansion(m * nu.size, terms)

@@ -20,13 +20,7 @@ from .positivity import (
     trivial_sign_multiplicity,
 )
 from .quotients import decompose
-from .schur import (
-    CharacterCache,
-    SchurExpansion,
-    schur_plethysm,
-    schur_product,
-    sxp_plethysm,
-)
+from .schur import SchurExpansion, schur_plethysm, schur_product, sxp_plethysm
 
 SXP_MAX_N = 3
 
@@ -122,17 +116,11 @@ def _sxp_support_violation(
     return None
 
 
-def check_plethysm(
-    max_degree: int,
-    cache: CharacterCache | None = None,
-    pinned_statistic: bool = True,
-) -> SweepReport:
+def check_plethysm(max_degree: int) -> SweepReport:
     """schur_plethysm vs oracle_plethysm for |mu|*|nu| <= max, the diagram
     containment filter on the support, and the closed forms for the extreme
-    row/column coefficients.
-
-    With ``pinned_statistic`` the known 231 / 142 / 40 pruning statistic for
-    s_{1,1} o s_{4,2,2} is checked as well, regardless of max."""
+    row/column coefficients; then, regardless of max, the known
+    231 / 142 / 40 pruning statistic for s_{1,1} o s_{4,2,2}."""
     report = SweepReport("plethysm")
     pairs = [
         (mu, nu)
@@ -144,7 +132,7 @@ def check_plethysm(
     ]
     for mu, nu in pairs:
         report.cases += 1
-        fast = schur_plethysm(mu, nu, cache)
+        fast = schur_plethysm(mu, nu)
         bad = _expansion_mismatch(fast, oracle_plethysm(mu, nu))
         if bad is None:
             bad = _plethysm_support_violation(mu, nu, fast)
@@ -152,15 +140,14 @@ def check_plethysm(
             bad["mu"], bad["nu"] = mu.to_list(), nu.to_list()
             report.counterexample = bad
             return report
-    if pinned_statistic:
-        report.cases += 1
-        stats = plethysm_stats(Partition([1, 1]), Partition([4, 2, 2]), cache)
-        if stats != (231, 142, 40):
-            report.counterexample = {
-                "kind": "pinned statistic mismatch",
-                "expected": [231, 142, 40],
-                "got": list(stats),
-            }
+    report.cases += 1
+    stats = plethysm_stats(Partition([1, 1]), Partition([4, 2, 2]))
+    if stats != (231, 142, 40):
+        report.counterexample = {
+            "kind": "pinned statistic mismatch",
+            "expected": [231, 142, 40],
+            "got": list(stats),
+        }
     return report
 
 
@@ -194,26 +181,22 @@ def containment_counts(mu: Partition, nu: Partition) -> tuple[int, int]:
     return (len(candidates), passing)
 
 
-def plethysm_stats(
-    mu: Partition, nu: Partition, cache: CharacterCache | None = None
-) -> tuple[int, int, int]:
+def plethysm_stats(mu: Partition, nu: Partition) -> tuple[int, int, int]:
     """containment_counts plus the size of the actual support of s_mu o s_nu."""
-    return (*containment_counts(mu, nu), len(schur_plethysm(mu, nu, cache)))
+    return (*containment_counts(mu, nu), len(schur_plethysm(mu, nu)))
 
 
-def run_scope(
-    scope: str, max_degree: int, cache: CharacterCache | None = None
-) -> list[SweepReport]:
+def run_scope(scope: str, max_degree: int) -> list[SweepReport]:
     if scope == "lr":
         return [check_products(max_degree)]
     if scope == "sxp":
         return [check_sxp(max_degree)]
     if scope == "plethysm":
-        return [check_plethysm(max_degree, cache)]
+        return [check_plethysm(max_degree)]
     if scope == "all":
         return [
             check_products(max_degree),
             check_sxp(max_degree),
-            check_plethysm(max_degree, cache),
+            check_plethysm(max_degree),
         ]
     raise ValueError(f"unknown scope {scope!r}")

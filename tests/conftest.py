@@ -8,14 +8,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from schurkit import CharacterCache  # noqa: E402
-
-
-@pytest.fixture(scope="session")
-def char_cache():
-    """One shared character memo for the whole run; keeps the big sweeps fast."""
-    return CharacterCache()
-
 
 @pytest.fixture(scope="session")
 def cli_env():

@@ -124,10 +124,10 @@ def test_criterion_4_upper_bound_pipeline():
 
 
 @criterion("5 pruning statistic 231 -> 142 -> 40, under 60s")
-def test_criterion_5_final_remarks_statistic(char_cache):
+def test_criterion_5_final_remarks_statistic():
     _clear_caches()
     started = time.perf_counter()
-    stats = plethysm_stats(P([1, 1]), P([4, 2, 2]), char_cache)
+    stats = plethysm_stats(P([1, 1]), P([4, 2, 2]))
     elapsed = time.perf_counter() - started
     assert stats == (231, 142, 40)
     assert elapsed < 60.0, f"took {elapsed:.1f}s, expected < 60s"
@@ -149,12 +149,12 @@ def test_criterion_6_extreme_coefficient_closed_forms():
 
 
 @pytest.fixture(scope="session")
-def sweep_reports(char_cache):
+def sweep_reports():
     started = time.perf_counter()
     reports = {
         "lr": check_products(12),
         "sxp": check_sxp(15),
-        "plethysm": check_plethysm(12, char_cache),
+        "plethysm": check_plethysm(12),
     }
     reports["elapsed"] = time.perf_counter() - started
     return reports
@@ -180,7 +180,7 @@ def test_criterion_8_filter_soundness(sweep_reports):
 
 
 @criterion("9 structural round trips: abacus bijection, size formula, corners, orthogonality")
-def test_criterion_9_structural_round_trips(char_cache):
+def test_criterion_9_structural_round_trips():
     # core/quotient bijection
     for n in range(1, 5):
         for size in range(15):
@@ -205,17 +205,11 @@ def test_criterion_9_structural_round_trips(char_cache):
 
     for n in range(1, 10):
         ps = all_partitions(n)
+        chi = {(mu, rho): character(mu, rho) for mu in ps for rho in ps}
         for i, mu in enumerate(ps):
             for nu in ps[i:]:
                 total = sum(
-                    (
-                        Fraction(
-                            character(mu, rho, char_cache)
-                            * character(nu, rho, char_cache),
-                            z_of(rho),
-                        )
-                        for rho in ps
-                    ),
+                    (Fraction(chi[mu, rho] * chi[nu, rho], z_of(rho)) for rho in ps),
                     Fraction(0),
                 )
                 assert total == (1 if mu == nu else 0)

@@ -52,6 +52,20 @@ class TestExpand:
         r = run_cli(["expand", "sxp", "-n", "2"], cli_env)
         assert r.returncode == 2
 
+    def test_internal_error_exit_1(self, monkeypatch, capsys):
+        import schurkit.cli
+        import schurkit.schur
+        from schurkit import Partition, SchurExpansion
+
+        # only the rho = (2) piece of s_2 o s_1 survives, so 1/2 is left on s_2
+        def one_piece(rho, nu):
+            terms = {Partition([2]): 1} if rho == Partition([2]) else {}
+            return SchurExpansion(2, terms)
+
+        monkeypatch.setattr(schurkit.schur, "_power_plethysm", one_piece)
+        assert schurkit.cli.main(["expand", "plethysm", "-m", "2", "-v", "1"]) == 1
+        assert "internal error" in capsys.readouterr().err
+
 
 class TestFilter:
     def test_lr_theta(self, cli_env):
