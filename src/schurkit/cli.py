@@ -126,8 +126,11 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         if not line:
             continue
         try:
-            lam = Partition(json.loads(line))
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
+            parts = json.loads(line)
+            if not isinstance(parts, list) or any(type(p) is not int for p in parts):
+                raise ValueError("expected a JSON array of ints")
+            lam = Partition(parts)
+        except ValueError as exc:  # json.JSONDecodeError is a ValueError
             sys.stderr.write(f"bad partition line {line!r}: {exc}\n")
             return USAGE_ERROR
         if plethysm_filter_check(args.nu, lam):

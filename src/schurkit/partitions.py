@@ -216,28 +216,21 @@ def ideal_complement(generators: Iterable[Point]) -> Partition:
     return Partition(rows)
 
 
-def partitions_of(
-    n: int, max_part: int | None = None, max_length: int | None = None
-) -> Iterator[Partition]:
-    """All partitions of n in descending lexicographic order, optionally with
-    bounded first part and bounded number of parts."""
+def partitions_of(n: int) -> Iterator[Partition]:
+    """All partitions of n in descending lexicographic order."""
     if n < 0:
         return
-    cap = n if max_part is None else min(max_part, n)
-    slots = n if max_length is None else max_length
 
-    def rec(remaining: int, cap: int, slots: int, prefix: list[int]):
+    def rec(remaining: int, cap: int, prefix: list[int]):
         if remaining == 0:
             yield Partition(prefix)
             return
-        if slots == 0 or cap == 0:
-            return
         for first in range(min(cap, remaining), 0, -1):
             prefix.append(first)
-            yield from rec(remaining - first, first, slots - 1, prefix)
+            yield from rec(remaining - first, first, prefix)
             prefix.pop()
 
-    yield from rec(n, cap, slots, [])
+    yield from rec(n, n, [])
 
 
 @lru_cache(maxsize=64)

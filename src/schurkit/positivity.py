@@ -17,9 +17,8 @@ from .partitions import (
     ideal_complement,
     minkowski_sum,
     outer_corners,
-    partitions_of,
 )
-from .quotients import decompose
+from .quotients import _abacus_beads, _partition_from_beta, _partition_tuples
 
 
 @dataclass(frozen=True)
@@ -146,21 +145,18 @@ def enumerate_candidates(n: int, lam: Partition) -> list[Partition]:
     """Every partition that survives all three necessary conditions for
     membership in supp(p_n o s_lam): right size, contains lam, fits inside
     the upper-bound intersection, and has empty n-core.  Always a superset
-    of the true support.
+    of the true support, in descending lexicographic order.
 
-    Checks run cheapest first: size constraints during generation, then the
-    two containments, then the core.
+    The walk runs over the n-quotients of size |lam| and places each on the
+    abacus with the empty core, so size and core hold by construction; only
+    the two containments are tested.
     """
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
     upper = sxp_upper_bound(n, lam).intersection
-    out = []
-    for mu in partitions_of(n * lam.size, max_part=upper[0], max_length=len(upper)):
-        if not mu.contains(lam):
-            continue
-        if not upper.contains(mu):
-            continue
-        if decompose(mu, n).core:
-            continue
-        out.append(mu)
-    return out
+    empty, out = Partition(), []
+    for tup in _partition_tuples(n, lam.size):
+        mu = Partition(_partition_from_beta(_abacus_beads(n, empty, tup)))
+        if mu.contains(lam) and upper.contains(mu):
+            out.append(mu)
+    return sorted(out, reverse=True)

@@ -14,14 +14,19 @@ becomes a bead on runner b mod n at level b div n.  Then
 Padding m by another multiple of n shifts every runner up uniformly and adds
 one bottom bead per runner, so the runner labelling, core and quotient are
 all independent of the padding.  Runner k carries quotient component k.
+
+The SXP index set lives here: ``_partition_tuples`` enumerates n-quotients
+and ``_abacus_beads`` places a core and quotient on the abacus, for
+``reconstruct`` and, with the empty core, for ``enumerate_candidates`` and
+``sxp_plethysm``, which read mu (and the latter its sign) off the beads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .partitions import Partition, Point, point_in_diagram
+from .partitions import Partition, Point, all_partitions, point_in_diagram
 
 
 class NotACoreError(ValueError):
@@ -61,7 +66,8 @@ class QuotientDecomposition:
 
 def _beta_set(mu: Partition | tuple[int, ...], m: int) -> list[int]:
     """First-column hook lengths of mu padded to m parts; strictly decreasing."""
-    return [mu[i] + m - 1 - i for i in range(m)]
+    beta = [p + m - 1 - i for i, p in enumerate(mu)]
+    return beta + list(range(m - 1 - len(mu), -1, -1))
 
 
 def _partition_from_beta(beta: Iterable[int]) -> tuple[int, ...]:
@@ -106,9 +112,7 @@ def decompose(mu: Partition, n: int) -> QuotientDecomposition:
 
     quotient = tuple(Partition(_partition_from_beta(runner)) for runner in levels)
 
-    sign = None
-    if not core:
-        sign = _abacus_sign(beta, n)
+    sign = None if core else _abacus_sign(beta, n)
     return QuotientDecomposition(n=n, core=core, quotient=quotient, sign=sign)
 
 
@@ -138,21 +142,34 @@ def reconstruct(n: int, core: Partition, quotient: Sequence[Partition]) -> Parti
         raise ValueError(f"quotient must have {n} components, got {len(quotient)}")
     if any(q for q in decompose(core, n).quotient):
         raise NotACoreError(f"{core!r} has a removable rim hook of length {n}")
+    return Partition(_partition_from_beta(_abacus_beads(n, core, quotient)))
 
+
+def _abacus_beads(n: int, core: Partition, quotient: Sequence[Partition]) -> list[int]:
+    """Bead positions, unsorted, of the partition with this n-core and
+    n-quotient.  Component i lifts the beads at the bottom of runner i by its
+    parts; padding the core to n * (len(core) + longest component + 1) parts
+    leaves every runner more beads than its component has parts."""
     max_quot = max((len(q) for q in quotient), default=0)
-    m = n * (len(core) + max_quot + 1)
-    beta = _beta_set(core, m)
+    counts = [0] * n
+    for b in _beta_set(core, n * (len(core) + max_quot + 1)):
+        counts[b % n] += 1
+    return [
+        i + n * b for i, q in enumerate(quotient) for b in _beta_set(q, counts[i])
+    ]
 
-    positions = []
-    for i, q in enumerate(quotient):
-        # a core's beads sit at the bottom of each runner, so the quotient
-        # component lifts them by its parts; the padding above guarantees
-        # every runner has more beads than its component has parts
-        k = sum(1 for b in beta if b % n == i)
-        if k < len(q):
-            raise ValueError(f"runner {i} has {k} beads for {len(q)} parts")
-        positions.extend(i + n * b for b in _beta_set(q, k))
-    return Partition(_partition_from_beta(positions))
+
+def _partition_tuples(n: int, total: int) -> Iterator[tuple[Partition, ...]]:
+    """All n-tuples of partitions with sizes summing to total: the
+    n-quotients of the partitions of n * total with empty n-core."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for first_size in range(total + 1):
+        for q in all_partitions(first_size):
+            for rest in _partition_tuples(n - 1, total - first_size):
+                yield (q,) + rest
 
 
 def _removal_parity(

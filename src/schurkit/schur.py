@@ -18,15 +18,16 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .partitions import Partition, all_partitions
 from .quotients import (
+    _abacus_beads,
+    _abacus_sign,
     _beads_between,
     _beta_set,
     _partition_from_beta,
-    reconstruct,
-    sxp_sign,
+    _partition_tuples,
 )
 
 _EMPTY = Partition()
@@ -253,18 +254,6 @@ def character(mu: Partition, rho: Partition) -> int:
     return _character_rec(mu.parts, rho.parts, {})
 
 
-def _partition_tuples(n: int, total: int) -> Iterator[tuple[Partition, ...]]:
-    """All n-tuples of partitions with sizes summing to total."""
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    for first_size in range(total + 1):
-        for q in all_partitions(first_size):
-            for rest in _partition_tuples(n - 1, total - first_size):
-                yield (q,) + rest
-
-
 def _product_coefficient(lam: Partition, factors: Iterable[Partition]) -> int:
     """<s_lam, s_{f_0} * s_{f_1} * ...> by folding walks bounded by lam (no
     other shape can grow into lam under further multiplication); the last
@@ -289,8 +278,9 @@ def sxp_plethysm(n: int, lam: Partition) -> SchurExpansion:
     """Expansion of p_n composed with s_lam in the Schur basis, via the SXP
     rule: <s_mu, p_n o s_lam> = sgn_n(mu) * <s_lam, s_{mu^(0)} ... s_{mu^(n-1)}>.
 
-    Every mu in the support has empty n-core, so candidates are generated by
-    reconstructing from all n-tuples of partitions with total size |lam|.
+    Every mu in the support has empty n-core, so the loop runs over the
+    n-quotients of size |lam|, coefficient first; a nonzero term places its
+    beads on the abacus and reads mu and its sign off them.
     Character-free; cached because plethysm assembly reuses the same pieces
     heavily.
     """
@@ -301,8 +291,8 @@ def sxp_plethysm(n: int, lam: Partition) -> SchurExpansion:
         coeff = _product_coefficient(lam, tup)
         if coeff == 0:
             continue
-        mu = reconstruct(n, _EMPTY, tup)
-        terms[mu] = coeff * sxp_sign(mu, n)
+        beads = sorted(_abacus_beads(n, _EMPTY, tup), reverse=True)
+        terms[Partition(_partition_from_beta(beads))] = coeff * _abacus_sign(beads, n)
     return SchurExpansion(n * lam.size, terms)
 
 

@@ -114,8 +114,11 @@ class TestFilter:
         assert len(r.stdout.splitlines()) == 142
 
     def test_plethysm_bad_line_exit_2(self, cli_env):
-        r = run_cli(["filter", "plethysm", "-v", "2"], cli_env, stdin="[2,3]\n")
-        assert r.returncode == 2
+        # a line is a JSON array of ints: no floats, strings or bools coerced
+        for line in ("[2,3]", "[1.5]", '"21"', "[true]"):
+            r = run_cli(["filter", "plethysm", "-v", "1"], cli_env, stdin=line + "\n")
+            assert r.returncode == 2, line
+            assert r.stdout == "" and "bad partition line" in r.stderr, line
 
 
 class TestStats:

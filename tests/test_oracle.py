@@ -68,10 +68,13 @@ class TestOraclePlethysm:
         assert len(e) == 40
 
     def test_power_route_matches_sxp(self):
-        for n in (1, 2, 3):
-            for size in range(5):
-                for lam in all_partitions(size):
-                    assert oracle_power_plethysm(n, lam) == sxp_plethysm(n, lam)
+        # |lam| <= 4 for n <= 3, then n|lam| <= 16 up to n = 6, the largest n
+        # the sxp benchmark runs
+        sizes = [(n, size) for n in (1, 2, 3) for size in range(5)]
+        sizes += [(n, size) for n in (4, 5, 6) for size in range(16 // n + 1)]
+        for n, size in sizes:
+            for lam in all_partitions(size):
+                assert oracle_power_plethysm(n, lam) == sxp_plethysm(n, lam)
 
 
 class TestPowerBasisAlgebra:

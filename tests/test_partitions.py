@@ -245,11 +245,6 @@ class TestGenerators:
         for n, want in enumerate(expected):
             assert len(all_partitions(n)) == want
 
-    def test_constraints(self):
-        got = list(partitions_of(8, max_part=4, max_length=3))
-        assert all(p[0] <= 4 and len(p) <= 3 and p.size == 8 for p in got)
-        assert P([4, 4]) in got and P([3, 3, 2]) in got
-
     def test_descending_lex_order(self):
         ps = [p.parts for p in partitions_of(7)]
         assert ps == sorted(ps, reverse=True)

@@ -9,6 +9,7 @@ from schurkit import (
     enumerate_candidates,
     lr_bound,
     multi_schur_product,
+    partitions_of,
     plethysm_filter_check,
     schur_plethysm,
     size_row_bound,
@@ -177,3 +178,22 @@ class TestEnumerateCandidates:
 
     def test_empty_lambda(self):
         assert enumerate_candidates(3, P()) == [P()]
+
+    def test_matches_definition_exhaustively(self):
+        # reference: scan every partition of n|lam| and test each condition,
+        # including the core by a full decompose
+        cases = 0
+        for n in range(1, 7):
+            for size in range(12 // n + 1):
+                for lam in all_partitions(size):
+                    upper = sxp_upper_bound(n, lam).intersection
+                    want = [
+                        mu
+                        for mu in partitions_of(n * size)
+                        if mu.contains(lam)
+                        and upper.contains(mu)
+                        and not decompose(mu, n).core
+                    ]
+                    assert enumerate_candidates(n, lam) == want, (n, lam)
+                    cases += 1
+        assert cases == 329
