@@ -9,6 +9,7 @@ candidate that passes may still have coefficient zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 from typing import Sequence
 
 from .partitions import (
@@ -18,7 +19,7 @@ from .partitions import (
     minkowski_sum,
     outer_corners,
 )
-from .quotients import _abacus_beads, _partition_from_beta, _partition_tuples
+from .quotients import _partition_from_beta, _quotient_walk
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,10 @@ def _row_caps(n: int, lam: Partition) -> list[int]:
 def sxp_upper_bound(n: int, lam: Partition) -> BoundPair:
     """Upper bounds on partitions in supp(p_n o s_lam).
 
-    A partition mu there has size n|lam| and contains lam, so its r-th row
-    is at most (n|lam| - |tail of lam after row r|) / r; the same argument on
-    columns (via the conjugate) gives a second bound, and the support lies
-    inside the intersection of the two.  For the empty lam all three are
+    Any mu of size n|lam| that contains lam has r-th row at most
+    (n|lam| - |tail of lam after row r|) / r; the same lemma on columns (via
+    the conjugate) gives a second bound, so every such mu, the support
+    included, lies inside the intersection.  For the empty lam all three are
     empty, since p_n o s_() = s_().
     """
     if n < 1:
@@ -143,20 +144,25 @@ def trivial_sign_multiplicity(mu: Partition, nu: Partition) -> tuple[int, int]:
 
 def enumerate_candidates(n: int, lam: Partition) -> list[Partition]:
     """Every partition that survives all three necessary conditions for
-    membership in supp(p_n o s_lam): right size, contains lam, fits inside
-    the upper-bound intersection, and has empty n-core.  Always a superset
-    of the true support, in descending lexicographic order.
+    membership in supp(p_n o s_lam): right size, contains lam, and has empty
+    n-core.  Always a superset of the true support, in descending
+    lexicographic order, and inside ``sxp_upper_bound``'s intersection,
+    which holds every partition of size n|lam| that contains lam.
 
-    The walk runs over the n-quotients of size |lam| and places each on the
-    abacus with the empty core, so size and core hold by construction; only
-    the two containments are tested.
+    The walk places each n-quotient of size |lam| with the empty core and
+    |lam| + 1 beads per runner, M in all, so size and core hold by
+    construction; mu contains lam exactly when its k-th largest bead is at
+    least lam_k + M-1-k, so only candidates become Partitions.
     """
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
-    upper = sxp_upper_bound(n, lam).intersection
-    empty, out = Partition(), []
-    for tup in _partition_tuples(n, lam.size):
-        mu = Partition(_partition_from_beta(_abacus_beads(n, empty, tup)))
-        if mu.contains(lam) and upper.contains(mu):
-            out.append(mu)
-    return sorted(out, reverse=True)
+    if n == 1:  # p_1 o s_lam = s_lam, and lam is the only mu of its size >= lam
+        return [lam]
+    c = lam.size + 1
+    need = [p + n * c - 1 - k for k, p in enumerate(lam)]
+    out = []
+    for _, beads in _quotient_walk(n, lam.size, c, (lam.size,) * lam.size):
+        beads.sort(reverse=True)
+        if all(map(ge, beads, need)):
+            out.append(_partition_from_beta(beads))
+    return [Partition(mu) for mu in sorted(out, reverse=True)]

@@ -15,18 +15,19 @@ Padding m by another multiple of n shifts every runner up uniformly and adds
 one bottom bead per runner, so the runner labelling, core and quotient are
 all independent of the padding.  Runner k carries quotient component k.
 
-The SXP index set lives here: ``_partition_tuples`` enumerates n-quotients
-and ``_abacus_beads`` places a core and quotient on the abacus, for
-``reconstruct`` and, with the empty core, for ``enumerate_candidates`` and
-``sxp_plethysm``, which read mu (and the latter its sign) off the beads.
+The SXP index set lives here: ``_quotient_walk`` runs over n-quotients of
+int part tuples and places each with the empty core and c beads per runner.
+``enumerate_candidates`` walks every component (c = |lam| + 1) and tests
+containment on the beads; ``sxp_plethysm`` walks only components inside lam
+(c = len(lam) + 1) and reads mu and its sign off the beads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .partitions import Partition, Point, all_partitions, point_in_diagram
+from .partitions import Partition, Point, point_in_diagram
 
 
 class NotACoreError(ValueError):
@@ -142,53 +143,43 @@ def reconstruct(n: int, core: Partition, quotient: Sequence[Partition]) -> Parti
         raise ValueError(f"quotient must have {n} components, got {len(quotient)}")
     if any(q for q in decompose(core, n).quotient):
         raise NotACoreError(f"{core!r} has a removable rim hook of length {n}")
-    return Partition(_partition_from_beta(_abacus_beads(n, core, quotient)))
-
-
-def _abacus_beads(n: int, core: Partition, quotient: Sequence[Partition]) -> list[int]:
-    """Bead positions, unsorted, of the partition with this n-core and
-    n-quotient.  Component i lifts the beads at the bottom of runner i by its
-    parts; padding the core to n * (len(core) + longest component + 1) parts
-    leaves every runner more beads than its component has parts."""
+    # component i lifts runner i's bottom beads by its parts; this padding
+    # leaves every runner more beads than its component has parts
     max_quot = max((len(q) for q in quotient), default=0)
     counts = [0] * n
     for b in _beta_set(core, n * (len(core) + max_quot + 1)):
         counts[b % n] += 1
-    return [
-        i + n * b for i, q in enumerate(quotient) for b in _beta_set(q, counts[i])
-    ]
+    beads = [i + n * b for i, q in enumerate(quotient) for b in _beta_set(q, counts[i])]
+    return Partition(_partition_from_beta(beads))
 
 
-def _partition_tuples(n: int, total: int) -> Iterator[tuple[Partition, ...]]:
-    """All n-tuples of partitions with sizes summing to total: the
-    n-quotients of the partitions of n * total with empty n-core."""
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    for first_size in range(total + 1):
-        for q in all_partitions(first_size):
-            for rest in _partition_tuples(n - 1, total - first_size):
-                yield (q,) + rest
+def _quotient_walk(n: int, total: int, c: int, outer: Sequence[int]) -> Iterator:
+    """Every n-quotient of size ``total`` whose components fit inside
+    ``outer``, as part tuples, with the unsorted beads of the partition it
+    gives with the empty core.  Every runner holds c > len(outer) beads, so
+    a component's positions on runner i do not depend on the others: one
+    table per call holds them."""
+    shapes = [()]
+    for r, cap in enumerate(outer):  # grow every shape of r rows by a row
+        shapes += [
+            q + (p,) for q in shapes if len(q) == r
+            for p in range(1, min(cap, q[-1] if q else cap, total - sum(q)) + 1)
+        ]
+    table = [[[] for _ in range(total + 1)] for _ in range(n)]
+    for q in shapes:
+        for i in range(n):
+            table[i][sum(q)].append((q, [i + n * b for b in _beta_set(q, c)]))
 
+    def walk(i, left, qs, beads):
+        if i == n - 1:
+            for q, pos in table[i][left]:
+                yield qs + (q,), beads + pos
+            return
+        for size in range(left + 1):
+            for q, pos in table[i][size]:
+                yield from walk(i + 1, left - size, qs + (q,), beads + pos)
 
-def _removal_parity(
-    positions: set[int], n: int, pick: Callable[[list[int]], int]
-) -> int:
-    """Parity of the total rim-hook height accumulated while pushing all
-    beads down one move at a time.  ``pick`` selects which movable bead goes
-    next; the parity is the same for every choice.  decompose reads the sign
-    off the abacus instead; this simulation is the reference the test suite
-    checks that reading against, with random picks."""
-    total = 0
-    while True:
-        movable = sorted(b for b in positions if b >= n and b - n not in positions)
-        if not movable:
-            return total % 2
-        b = movable[pick(movable)]
-        total += _beads_between(positions, b - n, b)
-        positions.remove(b)
-        positions.add(b - n)
+    return walk(0, total, (), [])
 
 
 def sxp_sign(mu: Partition, n: int) -> int:

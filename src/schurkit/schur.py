@@ -22,12 +22,11 @@ from typing import Iterable, Mapping
 
 from .partitions import Partition, all_partitions
 from .quotients import (
-    _abacus_beads,
     _abacus_sign,
     _beads_between,
     _beta_set,
     _partition_from_beta,
-    _partition_tuples,
+    _quotient_walk,
 )
 
 _EMPTY = Partition()
@@ -254,23 +253,23 @@ def character(mu: Partition, rho: Partition) -> int:
     return _character_rec(mu.parts, rho.parts, {})
 
 
-def _product_coefficient(lam: Partition, factors: Iterable[Partition]) -> int:
-    """<s_lam, s_{f_0} * s_{f_1} * ...> by folding walks bounded by lam (no
-    other shape can grow into lam under further multiplication); the last
-    step can only reach lam itself."""
-    fs = sorted((f for f in factors if f), key=lambda p: p.size, reverse=True)
+def _product_coefficient(lam: tuple, factors: Iterable[tuple]) -> int:
+    """<s_lam, s_{f_0} * s_{f_1} * ...> on part tuples, by folding walks
+    bounded by lam (no other shape can grow into lam under further
+    multiplication); the last step can only reach lam itself."""
+    fs = sorted((f for f in factors if f), key=sum, reverse=True)
     if not fs:
         return 1 if not lam else 0
-    if sum(f.size for f in fs) != lam.size:
+    if sum(map(sum, fs)) != sum(lam):
         return 0
-    current = {fs[0].parts: 1}
+    current = {fs[0]: 1}
     for f in fs[1:]:
         nxt: dict[tuple[int, ...], int] = defaultdict(int)
         for sig, mult in current.items():
-            for tau, c in _lr_walk(sig, f.parts, lam.parts).items():
+            for tau, c in _lr_walk(sig, f, lam).items():
                 nxt[tau] += mult * c
         current = nxt
-    return current.get(lam.parts, 0)
+    return current.get(lam, 0)
 
 
 @lru_cache(maxsize=1024)
@@ -278,21 +277,23 @@ def sxp_plethysm(n: int, lam: Partition) -> SchurExpansion:
     """Expansion of p_n composed with s_lam in the Schur basis, via the SXP
     rule: <s_mu, p_n o s_lam> = sgn_n(mu) * <s_lam, s_{mu^(0)} ... s_{mu^(n-1)}>.
 
-    Every mu in the support has empty n-core, so the loop runs over the
-    n-quotients of size |lam|, coefficient first; a nonzero term places its
-    beads on the abacus and reads mu and its sign off them.
-    Character-free; cached because plethysm assembly reuses the same pieces
-    heavily.
+    Every mu in the support has empty n-core, and the pairing is 0 unless
+    every quotient component fits inside lam, so the loop runs over those
+    n-quotients only (len(lam) + 1 beads per runner), coefficient first; a
+    nonzero term reads mu and its sign off its beads.  Character-free; cached
+    because plethysm assembly reuses the same pieces heavily.
     """
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
-    terms = {}
-    for tup in _partition_tuples(n, lam.size):
-        coeff = _product_coefficient(lam, tup)
-        if coeff == 0:
-            continue
-        beads = sorted(_abacus_beads(n, _EMPTY, tup), reverse=True)
-        terms[Partition(_partition_from_beta(beads))] = coeff * _abacus_sign(beads, n)
+    terms, coeffs = {}, {}
+    for tup, beads in _quotient_walk(n, lam.size, len(lam) + 1, lam.parts):
+        factors = tuple(sorted(tup))  # the pairing ignores the factor order
+        if factors not in coeffs:
+            coeffs[factors] = _product_coefficient(lam.parts, factors)
+        if coeffs[factors]:
+            beads.sort(reverse=True)
+            mu = Partition(_partition_from_beta(beads))
+            terms[mu] = coeffs[factors] * _abacus_sign(beads, n)
     return SchurExpansion(n * lam.size, terms)
 
 

@@ -87,6 +87,20 @@ class TestSxpBounds:
             bp = sxp_upper_bound(n, P())
             assert bp.xi1 == bp.xi2 == bp.intersection == P()
 
+    def test_bound_holds_for_every_containing_partition(self):
+        # the lemma enumerate_candidates relies on: size n|lam| and lam
+        # inside mu already put mu inside the intersection
+        count = 0
+        for n in range(1, 5):
+            for size in range(16 // n + 1):
+                for lam in all_partitions(size):
+                    inter = sxp_upper_bound(n, lam).intersection
+                    for mu in all_partitions(n * size):
+                        if mu.contains(lam):
+                            assert inter.contains(mu), (n, lam, mu)
+                            count += 1
+        assert count == 8235
+
     def test_soundness(self):
         for n in (2, 3):
             for size in range(1, 6):
@@ -161,6 +175,9 @@ class TestEnumerateCandidates:
     def test_identity_exponent(self):
         for lam in all_partitions(4):
             assert enumerate_candidates(1, lam) == [lam]
+        # p(60) = 966467: the walk must not visit every partition of |lam|
+        lam = P([11, 10, 9, 8, 7, 6, 5, 4])
+        assert enumerate_candidates(1, lam) == [lam]
 
     def test_golden_count(self):
         # frozen from an exhaustive enumeration; must sit between the true

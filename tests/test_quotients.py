@@ -15,9 +15,26 @@ from schurkit import (
     sxp_plethysm,
     sxp_sign,
 )
-from schurkit.quotients import _beta_set, _padded_length, _removal_parity
+from schurkit.quotients import _beads_between, _beta_set, _padded_length
 
 P = Partition
+
+
+def _removal_parity(positions, n, pick):
+    """Parity of the total rim-hook height accumulated while pushing all
+    beads down one move at a time.  ``pick`` selects which movable bead goes
+    next; the parity is the same for every choice.  decompose reads the sign
+    off the abacus instead; this simulation is the reference that reading is
+    checked against, with random picks."""
+    total = 0
+    while True:
+        movable = sorted(b for b in positions if b >= n and b - n not in positions)
+        if not movable:
+            return total % 2
+        b = movable[pick(movable)]
+        total += _beads_between(positions, b - n, b)
+        positions.remove(b)
+        positions.add(b - n)
 
 
 class TestDecompose:

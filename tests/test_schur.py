@@ -1,4 +1,5 @@
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from math import factorial, prod
 
@@ -12,9 +13,11 @@ from schurkit import (
     character,
     lr_coefficient,
     multi_schur_product,
+    reconstruct,
     schur_plethysm,
     schur_product,
     sxp_plethysm,
+    sxp_sign,
     z_of,
 )
 from schurkit.oracle import _p_to_schur, _schur_in_p, _table
@@ -135,8 +138,9 @@ class TestLRPastOracle:
     )
     def test_product_coefficient_matches_product(self, factors):
         product = multi_schur_product(factors)
+        parts = [f.parts for f in factors]
         for lam in all_partitions(product.degree):
-            assert _product_coefficient(lam, factors) == product.coefficient(lam)
+            assert _product_coefficient(lam.parts, parts) == product.coefficient(lam)
 
 
 class TestSchurProduct:
@@ -288,6 +292,96 @@ class TestSxpPlethysm:
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
             sxp_plethysm(0, P([1]))
+
+
+def _partition_tuples(n, total):
+    """All n-tuples of partitions with sizes summing to total: the
+    n-quotients of the partitions of n * total with empty n-core."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for first_size in range(total + 1):
+        for q in all_partitions(first_size):
+            for rest in _partition_tuples(n - 1, total - first_size):
+                yield (q,) + rest
+
+
+def _sxp_all_tuples(n, lam):
+    """p_n o s_lam by the SXP rule over every n-quotient of size |lam|, one
+    product pairing per tuple, with mu and its sign from reconstruct and
+    sxp_sign: the loop sxp_plethysm's pruned walk replaced, kept as its
+    reference."""
+    terms = {}
+    for tup in _partition_tuples(n, lam.size):
+        coeff = _product_coefficient(lam.parts, [q.parts for q in tup])
+        if coeff:
+            mu = reconstruct(n, P(), tup)
+            terms[mu] = coeff * sxp_sign(mu, n)
+    return SchurExpansion(n * lam.size, terms)
+
+
+class TestSxpAllTuples:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_all_tuples_loop(self, n):
+        # every n|lam| <= 18
+        for size in range(18 // n + 1):
+            for lam in all_partitions(size):
+                assert sxp_plethysm(n, lam) == _sxp_all_tuples(n, lam), (n, lam)
+
+
+def _sxp_linear(n, f):
+    """p_n o f for a Schur expansion f, extended linearly."""
+    acc = defaultdict(int)
+    for mu, c in f.terms.items():
+        for nu, d in sxp_plethysm(n, mu).terms.items():
+            acc[nu] += c * d
+    return SchurExpansion(n * f.degree, acc)
+
+
+class TestSxpPastOracle:
+    """Exact identities that check whole SXP expansions at degrees 16-30,
+    past the oracle sweep's degree 9."""
+
+    @pytest.mark.parametrize(
+        "n,m,lam",
+        [
+            (2, 2, P([2, 2])),
+            (2, 2, P([3, 1, 1])),
+            (2, 2, P([3, 2, 1])),
+            (2, 2, P([2, 2, 1, 1])),
+            (2, 3, P([2, 1])),
+            (2, 3, P([2, 2])),
+            (3, 2, P([2, 1])),
+            (3, 2, P([3, 1])),
+            (3, 2, P([2, 1, 1])),
+        ],
+    )
+    def test_composition(self, n, m, lam):
+        # p_n o (p_m o s_lam) = p_{nm} o s_lam, degrees 16-24
+        assert _sxp_linear(n, sxp_plethysm(m, lam)) == sxp_plethysm(n * m, lam)
+
+    @pytest.mark.parametrize(
+        "n,lam",
+        [
+            (2, P([5, 3, 2])),
+            (2, P([6, 4, 3, 1, 1])),
+            (2, P([4, 4, 3, 2, 1, 1])),
+            (3, P([4, 3, 1])),
+            (3, P([5, 4, 1])),
+            (3, P([3, 3, 2, 1, 1])),
+            (4, P([3, 2, 1])),
+            (4, P([2, 2, 2, 1])),
+            (5, P([2, 2, 1, 1])),
+            (6, P([2, 2, 1])),
+        ],
+    )
+    def test_principal_specialization(self, n, lam):
+        # (p_n o f)(1^k) = f(1^k), since p_n(1^k) = k; degrees 20-30
+        e = sxp_plethysm(n, lam)
+        for k in (1, 2, 3, 5, 8, 13):
+            got = sum(c * principal(mu, k) for mu, c in e.terms.items())
+            assert got == principal(lam, k)
 
 
 class TestSchurPlethysm:
