@@ -29,9 +29,8 @@ from .positivity import (
 )
 from .schur import (
     NonIntegralResultError,
-    SchurExpansion,
+    multi_schur_product,
     schur_plethysm,
-    schur_product,
     sxp_plethysm,
 )
 from .verification import containment_counts, run_scope
@@ -72,10 +71,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         if args.mu is None or args.nu is None:
             return _usage("expand product needs -m and -v")
         inputs = {"kind": "product", "mu": args.mu.to_list(), "nu": args.nu.to_list()}
-        expansion = schur_product(
-            SchurExpansion(args.mu.size, {args.mu: 1}),
-            SchurExpansion(args.nu.size, {args.nu: 1}),
-        )
+        expansion = multi_schur_product([args.mu, args.nu])
     elif args.kind == "sxp":
         if args.n is None or args.lam is None:
             return _usage("expand sxp needs -n and -l")

@@ -1,8 +1,10 @@
 """Sparse exact arithmetic in the Schur basis.
 
 Expansions are immutable maps from Partition to an int coefficient, always
-homogeneous and zero-free; no floats anywhere.  Plethysm weights are ints
-scaled by |mu|!, divided out once per coefficient.
+homogeneous and zero-free; no floats anywhere.  Internal arithmetic runs on
+dicts keyed by part tuples without trailing zeros, so equal partitions hash
+equal; Partitions are built only for the SchurExpansion a public function
+returns.  Plethysm weights are ints scaled by |mu|!, divided out once each.
 
 Littlewood-Richardson coefficients come from one walk that grows LR
 tableaux strip by strip: each row of the content is added as a horizontal
@@ -28,8 +30,6 @@ from .quotients import (
     _partition_from_beta,
     _quotient_walk,
 )
-
-_EMPTY = Partition()
 
 
 class NonIntegralResultError(ArithmeticError):
@@ -60,7 +60,7 @@ class SchurExpansion:
     @classmethod
     def unit(cls) -> "SchurExpansion":
         """The multiplicative identity s_() with coefficient 1."""
-        return cls(0, {_EMPTY: 1})
+        return cls(0, {Partition(): 1})
 
     @property
     def degree(self) -> int:
@@ -181,31 +181,44 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 
 @lru_cache(maxsize=8192)
-def _pair_product(mu: Partition, nu: Partition) -> Mapping[Partition, int]:
-    """s_mu * s_nu as a term dict: one unbounded walk, with the factor of
+def _pair_product(mu: tuple[int, ...], nu: tuple[int, ...]) -> Mapping[tuple, int]:
+    """s_mu * s_nu on part tuples: one unbounded walk, with the factor of
     fewer rows as content (the walk branches per row and letter)."""
     inner, content = (mu, nu) if len(nu) <= len(mu) else (nu, mu)
-    walk = _lr_walk(inner.parts, content.parts)
-    return MappingProxyType({Partition(lam): c for lam, c in walk.items()})
+    return MappingProxyType(_lr_walk(inner, content))
+
+
+def _product(f: Mapping[tuple, int], g: Mapping[tuple, int]) -> dict[tuple, int]:
+    """Bilinear extension of _pair_product to part-tuple terms, zero-free."""
+    acc: dict[tuple[int, ...], int] = defaultdict(int)
+    for mu, a in f.items():
+        for nu, b in g.items():
+            for lam, c in _pair_product(mu, nu).items():
+                acc[lam] += a * b * c
+    return {lam: c for lam, c in acc.items() if c}
+
+
+def _tuples(f: SchurExpansion) -> dict[tuple, int]:
+    return {lam.parts: c for lam, c in f.terms.items()}
+
+
+def _wrap(degree: int, terms: Mapping[tuple, int]) -> SchurExpansion:
+    """The boundary: part-tuple terms become the expansion a caller sees."""
+    return SchurExpansion(degree, {Partition(lam): c for lam, c in terms.items()})
 
 
 def schur_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
-    """Bilinear extension of the Littlewood-Richardson rule."""
-    acc: dict[Partition, int] = defaultdict(int)
-    for mu, a in f.terms.items():
-        for nu, b in g.terms.items():
-            for lam, c in _pair_product(mu, nu).items():
-                acc[lam] += a * b * c
-    return SchurExpansion(f.degree + g.degree, acc)
+    """Bilinear extension of the Littlewood-Richardson rule, folded on part tuples."""
+    return _wrap(f.degree + g.degree, _product(_tuples(f), _tuples(g)))
 
 
 def multi_schur_product(mus: Iterable[Partition]) -> SchurExpansion:
-    """Product of Schur functions s_{mu_0} * s_{mu_1} * ... evaluated left to
-    right as binary products."""
-    out = SchurExpansion.unit()
-    for f in mus:
-        out = schur_product(out, SchurExpansion(f.size, {f: 1}))
-    return out
+    """s_{mu_0} * s_{mu_1} * ..., folded left to right on part tuples."""
+    out, degree = {(): 1}, 0
+    for f in mus:  # while degree is 0, out is the unit
+        out = _product(out, {f.parts: 1}) if degree else {f.parts: 1}
+        degree += f.size
+    return _wrap(degree, out)
 
 
 def z_of(rho: Partition) -> int:
@@ -285,6 +298,8 @@ def sxp_plethysm(n: int, lam: Partition) -> SchurExpansion:
     """
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
+    if n == 1:
+        return SchurExpansion(lam.size, {lam: 1})
     terms, coeffs = {}, {}
     for tup, beads in _quotient_walk(n, lam.size, len(lam) + 1, lam.parts):
         factors = tuple(sorted(tup))  # the pairing ignores the factor order
@@ -298,16 +313,16 @@ def sxp_plethysm(n: int, lam: Partition) -> SchurExpansion:
 
 
 @lru_cache(maxsize=1024)
-def _power_plethysm(rho: Partition, nu: Partition) -> SchurExpansion:
-    """p_rho o s_nu in the Schur basis, as a product of sxp pieces."""
-    out = SchurExpansion.unit()
+def _power_plethysm(rho: tuple[int, ...], nu: tuple[int, ...]) -> Mapping[tuple, int]:
+    """p_rho o s_nu on part tuples, as a product of sxp pieces."""
+    out = {(): 1}
     for k in rho:
-        out = schur_product(out, sxp_plethysm(k, nu))
-    return out
+        out = _product(out, _tuples(sxp_plethysm(k, Partition(nu))))
+    return MappingProxyType(out)
 
 
 def schur_plethysm(mu: Partition, nu: Partition) -> SchurExpansion:
-    """Plethysm s_mu o s_nu, assembled as
+    """Plethysm s_mu o s_nu, assembled on part tuples as
     sum over rho of chi^mu(rho)/z_rho * (p_rho o s_nu).
 
     With m = |mu|, each weight is scaled by m! into the int
@@ -318,20 +333,21 @@ def schur_plethysm(mu: Partition, nu: Partition) -> SchurExpansion:
     m = mu.size
     scale = factorial(m)
     memo: dict = {}
-    acc: dict[Partition, int] = defaultdict(int)
+    acc: dict[tuple[int, ...], int] = defaultdict(int)
     for rho in all_partitions(m):
         chi = _character_rec(mu.parts, rho.parts, memo)
         if chi == 0:
             continue
         weight = chi * (scale // z_of(rho))
-        for lam, c in _power_plethysm(rho, nu).terms.items():
+        for lam, c in _power_plethysm(rho.parts, nu.parts).items():
             acc[lam] += weight * c
     terms = {}
     for lam, val in acc.items():
         coeff, rem = divmod(val, scale)
         if rem:
             raise NonIntegralResultError(
-                f"coefficient of s_{list(lam.parts)} is {val}/{scale}, not an integer"
+                f"coefficient of s_{list(lam)} is {val}/{scale}, not an integer"
             )
-        terms[lam] = coeff
-    return SchurExpansion(m * nu.size, terms)
+        if coeff:
+            terms[lam] = coeff
+    return _wrap(m * nu.size, terms)

@@ -20,7 +20,7 @@ from .positivity import (
     trivial_sign_multiplicity,
 )
 from .quotients import decompose
-from .schur import SchurExpansion, schur_plethysm, schur_product, sxp_plethysm
+from .schur import SchurExpansion, multi_schur_product, schur_plethysm, sxp_plethysm
 
 SXP_MAX_N = 3
 
@@ -48,7 +48,7 @@ def _expansion_mismatch(fast: SchurExpansion, slow: SchurExpansion) -> dict | No
 
 
 def check_products(max_degree: int) -> SweepReport:
-    """schur_product vs oracle_product for all pairs with |mu|+|nu| <= max,
+    """s_mu * s_nu vs oracle_product for all pairs with |mu|+|nu| <= max,
     plus the dominance and Minkowski-corner support bounds."""
     report = SweepReport("lr")
     for a in range(max_degree + 1):
@@ -56,9 +56,7 @@ def check_products(max_degree: int) -> SweepReport:
             for b in range(max_degree - a + 1):
                 for nu in all_partitions(b):
                     report.cases += 1
-                    fast = schur_product(
-                        SchurExpansion(a, {mu: 1}), SchurExpansion(b, {nu: 1})
-                    )
+                    fast = multi_schur_product([mu, nu])
                     bad = _expansion_mismatch(fast, oracle_product(mu, nu))
                     if bad is None:
                         bad = _product_support_violation(mu, nu, fast)

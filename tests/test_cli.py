@@ -55,12 +55,10 @@ class TestExpand:
     def test_internal_error_exit_1(self, monkeypatch, capsys):
         import schurkit.cli
         import schurkit.schur
-        from schurkit import Partition, SchurExpansion
 
         # only the rho = (2) piece of s_2 o s_1 survives, so 1/2 is left on s_2
         def one_piece(rho, nu):
-            terms = {Partition([2]): 1} if rho == Partition([2]) else {}
-            return SchurExpansion(2, terms)
+            return {(2,): 1} if rho == (2,) else {}
 
         monkeypatch.setattr(schurkit.schur, "_power_plethysm", one_piece)
         assert schurkit.cli.main(["expand", "plethysm", "-m", "2", "-v", "1"]) == 1

@@ -21,7 +21,12 @@ from schurkit import (
     z_of,
 )
 from schurkit.oracle import _p_to_schur, _schur_in_p, _table
-from schurkit.schur import _lr_walk, _pair_product, _product_coefficient
+from schurkit.schur import (
+    _lr_walk,
+    _pair_product,
+    _power_plethysm,
+    _product_coefficient,
+)
 
 P = Partition
 
@@ -60,6 +65,11 @@ class TestLRCoefficient:
                             )
 
 
+def pair_terms(mu, nu):
+    """_pair_product on the part tuples of mu and nu, keyed by Partition."""
+    return {P(lam): c for lam, c in _pair_product(mu.parts, nu.parts).items()}
+
+
 def principal(lam, k):
     """s_lam(1^k) by the hook-content formula."""
     conj = lam.conjugate()
@@ -92,7 +102,7 @@ class TestLRPastOracle:
 
     @pytest.mark.parametrize("mu,nu", BIG_PAIRS)
     def test_principal_specialization(self, mu, nu):
-        terms = _pair_product(mu, nu)
+        terms = pair_terms(mu, nu)
         assert all(lam.size == mu.size + nu.size for lam in terms)
         for k in (1, 2, 3, 5, 8, 13):
             expected = principal(mu, k) * principal(nu, k)
@@ -100,14 +110,14 @@ class TestLRPastOracle:
 
     @pytest.mark.parametrize("mu,nu", BIG_PAIRS)
     def test_conjugation_symmetry(self, mu, nu):
-        conj = _pair_product(mu.conjugate(), nu.conjugate())
+        conj = pair_terms(mu.conjugate(), nu.conjugate())
         assert {lam.conjugate(): c for lam, c in conj.items()} == dict(
-            _pair_product(mu, nu)
+            pair_terms(mu, nu)
         )
 
     @pytest.mark.parametrize("mu,nu", BIG_PAIRS)
     def test_lr_coefficient_matches_pair_product(self, mu, nu):
-        terms = _pair_product(mu, nu)
+        terms = pair_terms(mu, nu)
         shapes = [
             lam
             for lam in all_partitions(mu.size + nu.size)
@@ -122,7 +132,7 @@ class TestLRPastOracle:
     @pytest.mark.parametrize("mu,nu", BIG_PAIRS)
     def test_bounded_walk_keeps_shapes_inside_outer(self, mu, nu):
         box = P([mu[0] + nu[0] - 2] * (len(mu) + len(nu) - 1))
-        terms = _pair_product(mu, nu)
+        terms = pair_terms(mu, nu)
         inside = {lam.parts: c for lam, c in terms.items() if box.contains(lam)}
         assert 0 < len(inside) < len(terms)
         assert _lr_walk(mu.parts, nu.parts, box.parts) == inside
@@ -269,9 +279,18 @@ class TestBasisChange:
 
 
 class TestSxpPlethysm:
-    def test_identity_exponent(self):
-        for lam in all_partitions(5):
-            assert sxp_plethysm(1, lam) == single(lam)
+    def test_identity_exponent(self, monkeypatch):
+        # p_1 o s_lam = s_lam is returned without walking any n-quotient
+        import schurkit.schur
+
+        def no_walk(*args):
+            raise AssertionError("p_1 o s_lam walked the n-quotients")
+
+        monkeypatch.setattr(schurkit.schur, "_quotient_walk", no_walk)
+        sxp_plethysm.cache_clear()
+        for size in range(11):
+            for lam in all_partitions(size):
+                assert sxp_plethysm(1, lam) == single(lam)
 
     def test_p2_on_single_box(self):
         assert sxp_plethysm(2, P([1])) == SchurExpansion(
@@ -414,10 +433,82 @@ class TestSchurPlethysm:
         import schurkit.schur
 
         def one_piece(rho, nu):
-            if rho == P([2]):
-                return single(P([2]))
-            return SchurExpansion(2, {})
+            return {(2,): 1} if rho == (2,) else {}
 
         monkeypatch.setattr(schurkit.schur, "_power_plethysm", one_piece)
         with pytest.raises(NonIntegralResultError):
             schur_plethysm(P([2]), P([1]))
+
+
+class TestSchurPlethysmPastOracle:
+    """Exact identities that check whole plethysms at degrees 18-30, past the
+    oracle sweep's degree 12."""
+
+    PAIRS = [
+        (P([2]), P([6, 5, 4])),
+        (P([1, 1]), P([8, 4, 2, 1])),
+        (P([2]), P([4, 2, 2, 1, 1])),
+        (P([1, 1]), P([5, 3, 2, 1])),
+        (P([3]), P([3, 2, 1])),
+        (P([2, 1]), P([5, 2])),
+        (P([1, 1, 1]), P([4, 2, 1])),
+        (P([2, 2]), P([3, 3])),
+        (P([3, 1]), P([3, 2])),
+        (P([2, 1, 1]), P([3, 1, 1])),
+        (P([1, 1, 1, 1]), P([7])),
+    ]
+
+    @pytest.mark.parametrize("mu,nu", PAIRS)
+    def test_principal_specialization(self, mu, nu):
+        # (s_mu o s_nu)(1^k) = s_mu(x_1, ..., x_N) at the N = s_nu(1^k)
+        # monomials of s_nu in k variables, all set to 1
+        e = schur_plethysm(mu, nu)
+        for k in (1, 2, 3, 5, 8):
+            got = sum(c * principal(lam, k) for lam, c in e.terms.items())
+            assert got == principal(mu, principal(nu, k))
+
+    @pytest.mark.parametrize("mu,nu", PAIRS)
+    def test_omega_symmetry(self, mu, nu):
+        # omega(s_mu o s_nu) = s_mu o s_nu' for |nu| even and s_mu' o s_nu'
+        # for |nu| odd (Macdonald I.8 Ex. 1); omega conjugates every index
+        outer = mu if nu.size % 2 == 0 else mu.conjugate()
+        e = schur_plethysm(mu, nu)
+        conj = {lam.conjugate(): c for lam, c in e.terms.items()}
+        assert conj == dict(schur_plethysm(outer, nu.conjugate()).terms)
+
+
+class TestBoundary:
+    """Results that leave the module are keyed by Partition; the kernel's own
+    term dicts by part tuples without trailing zeros."""
+
+    def test_public_results_have_partition_keys(self):
+        results = [
+            schur_product(single(P([2, 1])), single(P([3, 1]))),
+            multi_schur_product([P([2, 1]), P([1, 1]), P([2])]),
+            multi_schur_product([]),
+            sxp_plethysm(3, P([2, 1])),
+            sxp_plethysm(1, P([2, 1])),
+            schur_plethysm(P([2, 1]), P([2, 1])),
+        ]
+        for e in results:
+            assert len(e) > 0
+            assert all(type(lam) is Partition for lam in e.terms)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            lambda: _pair_product((3, 1), (2, 1, 1)),
+            lambda: _pair_product((), (2, 1)),
+            lambda: _pair_product((2,), ()),
+            lambda: _power_plethysm((2, 1), (2, 1)),
+            lambda: _power_plethysm((3,), (1, 1)),
+            lambda: _power_plethysm((), (2,)),
+        ],
+    )
+    def test_kernel_keys_are_canonical_tuples(self, terms):
+        keys = list(terms())
+        assert keys
+        for lam in keys:
+            assert type(lam) is tuple
+            assert all(type(x) is int and x > 0 for x in lam)
+            assert list(lam) == sorted(lam, reverse=True)
