@@ -12,6 +12,7 @@ are a named type instead of bare tuples.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -41,12 +42,13 @@ class Partition:
     __slots__ = ("_parts", "_size")
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts)
-        while ps and ps[-1] == 0:
-            ps = ps[:-1]
-        if ps and ps[-1] < 0:
-            raise ValueError(f"parts must be positive, got {ps}")
-        if any(a < b for a, b in zip(ps, ps[1:])):
+        ps = tuple(map(int, parts))
+        if ps and ps[-1] <= 0:  # clean input skips the stripping loop
+            while ps and ps[-1] == 0:
+                ps = ps[:-1]
+            if ps and ps[-1] < 0:
+                raise ValueError(f"parts must be positive, got {ps}")
+        if any(map(lt, ps, ps[1:])):
             raise ValueError(f"parts must be weakly decreasing, got {ps}")
         self._parts = ps
         self._size = sum(ps)
@@ -231,6 +233,23 @@ def partitions_of(n: int) -> Iterator[Partition]:
             prefix.pop()
 
     yield from rec(n, n, [])
+
+
+def partition_count(n: int) -> int:
+    """p(n), the number of partitions of n, without enumerating them: Euler's
+    pentagonal number recurrence p(m) = sum over k >= 1 of
+    (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)), O(n^1.5) additions."""
+    if n < 0:
+        return 0
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        k, g = 1, 1  # g = k(3k-1)/2, the k-th generalized pentagonal number
+        while g <= m:
+            term = p[m - g] + (p[m - g - k] if g + k <= m else 0)
+            p[m] += term if k % 2 else -term
+            k += 1
+            g += 3 * k - 2
+    return p[n]
 
 
 @lru_cache(maxsize=64)

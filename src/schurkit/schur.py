@@ -125,6 +125,13 @@ def _lr_walk(
     the lattice rule leaves: the k+1s in rows <= r may not outnumber the ks
     in rows < r.  A branch is dropped as soon as the cells still to place
     exceed old[r-1], all the room left below.  Each leaf is one LR tableau.
+
+    Letter k+1 opens at row k, not row 0: letter k sits in no row above
+    k-1, so the lattice rule leaves letter k+1 no room in rows 0..k-1, and
+    at row k its allowance is the count of letter k in row k-1.  A row with
+    no room for the strip is crossed in a loop rather than a call, and the
+    row that takes the strip's last cell records the leaf or opens the next
+    letter itself; most of the calls of a row-by-row walk placed nothing.
     """
     if outer is not None and (
         len(inner) > len(outer) or any(a > b for a, b in zip(inner, outer))
@@ -140,31 +147,38 @@ def _lr_walk(
     leaves: dict[tuple[int, ...], int] = defaultdict(int)
 
     def grow(k, r, left, slack, above, prev, strip) -> None:
-        # place `left` more cells of letter k+1 from row r down; `above` is
-        # row r-1 before this strip, `slack` the lattice allowance at row r,
-        # `prev` and `strip` the cells of letters k and k+1 in each row
-        if not left:
-            if k == last:
-                leaves[tuple(shape)] += 1
-            else:
-                grow(k + 1, 0, content[k + 1], 0, _UNBOUNDED, strip, [0] * rows)
-            return
-        if left > above or r == rows:
-            return
-        old = shape[r]
-        hi = above - old  # plain compares: min() is a measurable cost here
-        if slack < hi:
-            hi = slack
-        if left < hi:
-            hi = left
-        if outer is not None and outer[r] - old < hi:
-            hi = outer[r] - old
+        # place `left` > 0 more cells of letter k+1 from row r down; `above`
+        # is row r-1 before this strip, `slack` the lattice allowance at row
+        # r, `prev` and `strip` the cells of letters k and k+1 in each row
+        while True:
+            if left > above or r == rows:
+                return
+            old = shape[r]
+            hi = above - old  # plain compares: min() is a measurable cost here
+            if slack < hi:
+                hi = slack
+            if left < hi:
+                hi = left
+            if outer is not None and outer[r] - old < hi:
+                hi = outer[r] - old
+            if hi > 0:
+                break
+            slack += prev[r]  # row r takes nothing: cross it without a call
+            above = old
+            r += 1
         lo = left - old if left > old else 0  # rows below hold at most old
         gained = prev[r]
         for x in range(hi, lo - 1, -1):
             shape[r] = old + x
             strip[r] = x
-            grow(k, r + 1, left - x, slack - x + gained, old, prev, strip)
+            if x < left:
+                grow(k, r + 1, left - x, slack - x + gained, old, prev, strip)
+            elif k == last:
+                leaves[tuple(shape)] += 1
+            else:  # letter k+2 opens at row k+1, see the docstring
+                grow(
+                    k + 1, k + 1, content[k + 1], strip[k], shape[k], strip, [0] * rows
+                )
         shape[r] = old
         strip[r] = 0
 

@@ -152,7 +152,7 @@ def test_criterion_6_extreme_coefficient_closed_forms():
 def sweep_reports():
     started = time.perf_counter()
     reports = {
-        "lr": check_products(12),
+        "lr": check_products(13),
         "sxp": check_sxp(15),
         "plethysm": check_plethysm(12),
     }
@@ -160,7 +160,7 @@ def sweep_reports():
     return reports
 
 
-@criterion("7 oracle equivalence: products <= 12, sxp degree <= 15 (n <= 3), plethysm <= 12")
+@criterion("7 oracle equivalence: products <= 13, sxp degree <= 15 (n <= 3), plethysm <= 12")
 def test_criterion_7_oracle_equivalence(sweep_reports):
     for scope in ("lr", "sxp", "plethysm"):
         r = sweep_reports[scope]

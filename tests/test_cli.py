@@ -1,7 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+from schurkit.partitions import partition_count
+from schurkit.verification import ORACLE_TABLE_BUDGET
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 
@@ -185,6 +189,18 @@ class TestVerify:
         assert r.returncode == 2
         assert r.stdout == ""
         assert "--max" in r.stderr
+
+    def test_over_budget_fails_fast(self, cli_env):
+        started = time.perf_counter()
+        r = run_cli(["verify", "--max", "40"], cli_env)
+        assert time.perf_counter() - started < 10
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "--max 40" in r.stderr and "p(40) = 37338" in r.stderr
+        assert str(ORACLE_TABLE_BUDGET) in r.stderr
+
+    def test_budget_admits_degree_15(self):
+        assert partition_count(15) ** 2 <= ORACLE_TABLE_BUDGET
 
     def test_small_all(self, cli_env):
         r = run_cli(["verify", "--scope", "all", "--max", "4"], cli_env)

@@ -15,6 +15,7 @@ from schurkit import (
     partitions_of,
     point_in_diagram,
 )
+from schurkit.partitions import partition_count
 
 P = Partition
 
@@ -244,6 +245,11 @@ class TestGenerators:
         expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
         for n, want in enumerate(expected):
             assert len(all_partitions(n)) == want
+
+    def test_partition_count_matches_enumeration(self):
+        for n in range(-2, 26):
+            assert partition_count(n) == len(all_partitions(n))
+        assert partition_count(100) == 190569292
 
     def test_descending_lex_order(self):
         ps = [p.parts for p in partitions_of(7)]

@@ -1,7 +1,8 @@
 import itertools
+import random
 from collections import defaultdict
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -151,6 +152,87 @@ class TestLRPastOracle:
         parts = [f.parts for f in factors]
         for lam in all_partitions(product.degree):
             assert _product_coefficient(lam.parts, parts) == product.coefficient(lam)
+
+
+def _syt_count(lam):
+    """f^lam, the number of standard Young tableaux of shape lam (part
+    tuple), by the hook length formula."""
+    conj = [sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0)]
+    cells = [(i, j) for i in range(len(lam)) for j in range(lam[i])]
+    return factorial(len(cells)) // prod(lam[i] - j + conj[j] - i - 1 for i, j in cells)
+
+
+def _add_cells(rng, parts, cells, rows):
+    """parts plus `cells` cells, each at a random addable corner in a row < rows."""
+    parts = list(parts)
+    for _ in range(cells):
+        padded = parts + [0]
+        top = min(len(padded), rows)
+        addable = [r for r in range(top) if r == 0 or padded[r] < padded[r - 1]]
+        padded[rng.choice(addable)] += 1
+        parts = padded if padded[-1] else padded[:-1]
+    return tuple(parts)
+
+
+def _walk_triples(count, seed):
+    """(mu, nu, outer) part tuples with |mu| + |nu| from 14 to 26 and outer of
+    size |mu| + |nu| plus 0-4: three in four outers grow the row-wise max of
+    mu and nu at random, every fourth grows mu inside fewer rows than nu has
+    (no LR tableau fits there)."""
+    rng = random.Random(seed)
+    triples = []
+    while len(triples) < count:
+        total = rng.randint(14, 26)
+        a = rng.randint(1, total - 1)
+        mu = rng.choice(all_partitions(a)).parts
+        nu = rng.choice(all_partitions(total - a)).parts
+        size = total + rng.randint(0, 4)
+        if len(triples) % 4:
+            base = tuple(map(max, itertools.zip_longest(mu, nu, fillvalue=0)))
+            outer = _add_cells(rng, base, size - sum(base), total)
+        elif len(mu) != len(nu):
+            if len(mu) > len(nu):
+                mu, nu = nu, mu
+            rows = rng.randint(len(mu), len(nu) - 1)
+            outer = _add_cells(rng, mu, size - sum(mu), rows)
+        else:
+            continue
+        triples.append((mu, nu, outer))
+    return triples
+
+
+class TestLRWalkProperties:
+    """Randomized checks of the walk at degrees 14-26, past the oracle."""
+
+    def test_bounded_walk_is_filtered_unbounded_walk(self):
+        kept = short = 0
+        for mu, nu, outer in _walk_triples(240, seed=1):
+            full = _lr_walk(mu, nu)
+            # s_lam -> f^lam / |lam|! is a ring map (exponential specialization)
+            assert sum(c * _syt_count(lam) for lam, c in full.items()) == comb(
+                sum(mu) + sum(nu), sum(mu)
+            ) * _syt_count(mu) * _syt_count(nu), (mu, nu)
+            box = P(outer)
+            inside = {lam: c for lam, c in full.items() if box.contains(P(lam))}
+            assert _lr_walk(mu, nu, outer) == inside, (mu, nu, outer)
+            kept += 0 < len(inside) < len(full)
+            short += len(outer) < len(nu)
+        assert kept >= 100 and short >= 60
+
+    def test_product_coefficient_matches_multi_product(self):
+        rng = random.Random(2)
+        for _ in range(40):
+            count = rng.randint(3, 4)
+            degree = rng.randint(count, 16)
+            cuts = sorted(rng.sample(range(1, degree), count - 1))
+            sizes = [b - a for a, b in zip([0] + cuts, cuts + [degree])]
+            factors = [rng.choice(all_partitions(size)) for size in sizes]
+            product = multi_schur_product(factors)
+            parts = [f.parts for f in factors]
+            for lam in all_partitions(degree):
+                assert _product_coefficient(lam.parts, parts) == product.coefficient(
+                    lam
+                ), (parts, lam)
 
 
 class TestSchurProduct:
