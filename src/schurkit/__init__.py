@@ -11,12 +11,10 @@ from .partitions import (
     Partition,
     Point,
     all_partitions,
-    evaluation_nonzero,
     ideal_complement,
     minkowski_sum,
     outer_corners,
     partitions_of,
-    point_in_diagram,
 )
 from .positivity import (
     BoundPair,
@@ -31,10 +29,7 @@ from .positivity import (
 from .quotients import (
     NonEmptyCoreError,
     NotACoreError,
-    PointInDiagramError,
     QuotientDecomposition,
-    SignedTableau,
-    canonical_ssyt,
     decompose,
     reconstruct,
     sxp_sign,
@@ -61,16 +56,12 @@ __all__ = [
     "NotACoreError",
     "Partition",
     "Point",
-    "PointInDiagramError",
     "QuotientDecomposition",
     "SchurExpansion",
-    "SignedTableau",
     "all_partitions",
-    "canonical_ssyt",
     "character",
     "decompose",
     "enumerate_candidates",
-    "evaluation_nonzero",
     "ideal_complement",
     "lr_bound",
     "lr_coefficient",
@@ -79,7 +70,6 @@ __all__ = [
     "outer_corners",
     "partitions_of",
     "plethysm_filter_check",
-    "point_in_diagram",
     "reconstruct",
     "schur_plethysm",
     "schur_product",

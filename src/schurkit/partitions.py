@@ -81,20 +81,6 @@ class Partition:
     def __hash__(self) -> int:
         return hash(self._parts)
 
-    # lexicographic comparison of the part sequences; this is a total order
-    # used for deterministic serialisation, not the dominance order
-    def __lt__(self, other: "Partition") -> bool:
-        return self._parts < other._parts
-
-    def __le__(self, other: "Partition") -> bool:
-        return self._parts <= other._parts
-
-    def __gt__(self, other: "Partition") -> bool:
-        return self._parts > other._parts
-
-    def __ge__(self, other: "Partition") -> bool:
-        return self._parts >= other._parts
-
     def __repr__(self) -> str:
         return f"Partition({list(self._parts)})"
 
@@ -140,24 +126,6 @@ class Partition:
             if a < b:
                 return False
         return True
-
-    def cells(self) -> Iterator[Point]:
-        """All cells of the diagram, as (column, row) points."""
-        for r, length in enumerate(self._parts):
-            for c in range(length):
-                yield Point(c, r)
-
-
-def point_in_diagram(lam: Partition, p: Point) -> bool:
-    """Membership test (c, r) in [lam]."""
-    return p.c < lam[p.r] if p.r < len(lam) else False
-
-
-def evaluation_nonzero(lam: Partition, r: int, c: int) -> bool:
-    """Whether s_lam evaluated on an alphabet of r positive and c negative
-    letters is nonzero.  Equivalent to (c, r) lying outside [lam]: a tableau
-    on that alphabet exists exactly when lam omits that point."""
-    return not point_in_diagram(lam, Point(c, r))
 
 
 def outer_corners(lam: Partition) -> frozenset[Point]:
@@ -233,23 +201,6 @@ def partitions_of(n: int) -> Iterator[Partition]:
             prefix.pop()
 
     yield from rec(n, n, [])
-
-
-def partition_count(n: int) -> int:
-    """p(n), the number of partitions of n, without enumerating them: Euler's
-    pentagonal number recurrence p(m) = sum over k >= 1 of
-    (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)), O(n^1.5) additions."""
-    if n < 0:
-        return 0
-    p = [1] + [0] * n
-    for m in range(1, n + 1):
-        k, g = 1, 1  # g = k(3k-1)/2, the k-th generalized pentagonal number
-        while g <= m:
-            term = p[m - g] + (p[m - g - k] if g + k <= m else 0)
-            p[m] += term if k % 2 else -term
-            k += 1
-            g += 3 * k - 2
-    return p[n]
 
 
 @lru_cache(maxsize=64)

@@ -1,4 +1,4 @@
-"""n-cores, n-quotients, rim-hook signs, and signed tableaux.
+"""n-cores, n-quotients and rim-hook signs.
 
 Everything here runs on the abacus: a partition with m parts (padded with
 zeros so that n divides m) is encoded by its beta-set, the strictly
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import Partition, Point, point_in_diagram
+from .partitions import Partition
 
 
 class NotACoreError(ValueError):
@@ -36,10 +36,6 @@ class NotACoreError(ValueError):
 
 class NonEmptyCoreError(ValueError):
     """The sign is only defined for partitions with empty n-core."""
-
-
-class PointInDiagramError(ValueError):
-    """The excluded point (c, r) lies inside the diagram."""
 
 
 @dataclass(frozen=True)
@@ -55,14 +51,6 @@ class QuotientDecomposition:
     core: Partition
     quotient: tuple[Partition, ...]
     sign: int | None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "core": self.core.to_list(),
-            "quotient": [q.to_list() for q in self.quotient],
-            "sign": self.sign,
-        }
 
 
 def _beta_set(mu: Partition | tuple[int, ...], m: int) -> list[int]:
@@ -190,69 +178,3 @@ def sxp_sign(mu: Partition, n: int) -> int:
         raise NonEmptyCoreError(f"{mu!r} has non-empty {n}-core")
     return d.sign
 
-
-@dataclass(frozen=True)
-class SignedTableau:
-    """A filling of a diagram with nonzero integers, negative letters allowed.
-
-    Rows are stored bottom to top (row 0 first).  Validity means: positive
-    entries weakly increase along rows and strictly increase up columns,
-    negative entries do the opposite (strict along rows, weak up columns),
-    and within each column every negative entry sits below every positive
-    one.  Letters compare by ordinary integer order, so -c < ... < -1 < 1
-    < ... < r.
-    """
-
-    shape: Partition
-    rows: tuple[tuple[int, ...], ...]
-
-    def is_valid(self) -> bool:
-        if len(self.rows) != len(self.shape):
-            return False
-        if any(len(row) != self.shape[i] for i, row in enumerate(self.rows)):
-            return False
-        for row in self.rows:
-            for a, b in zip(row, row[1:]):
-                if a > 0 and b > 0 and a > b:
-                    return False
-                if a < 0 and b < 0 and a >= b:
-                    return False
-                if a > 0 > b:
-                    return False
-        for below, above in zip(self.rows, self.rows[1:]):
-            for a, b in zip(below, above):
-                if a > 0 and b > 0 and a >= b:
-                    return False
-                if a < 0 and b < 0 and a > b:
-                    return False
-                if a > 0 > b:  # negatives must sit below positives
-                    return False
-        return all(e != 0 for row in self.rows for e in row)
-
-    def letters(self) -> set[int]:
-        return {e for row in self.rows for e in row}
-
-    def to_json_obj(self) -> dict:
-        return {
-            "shape": self.shape.to_list(),
-            "rows": [list(row) for row in self.rows],
-        }
-
-
-def canonical_ssyt(lam: Partition, r: int, c: int) -> SignedTableau:
-    """The canonical tableau of shape lam on r positive and c negative
-    letters, witnessing that the evaluation of s_lam on that alphabet is
-    nonzero whenever (c, r) lies outside [lam].
-
-    Columns 1..c (from the left) are filled with the constants -c..-1, and
-    every remaining cell of row k (0-indexed from the bottom) gets the
-    positive letter k+1.  Rows at height >= r fit entirely inside the first
-    c columns, so only letters 1..r ever appear.
-    """
-    if point_in_diagram(lam, Point(c, r)):
-        raise PointInDiagramError(f"({c}, {r}) lies inside the diagram of {lam!r}")
-    rows = tuple(
-        tuple(j - c if j < c else k + 1 for j in range(lam[k]))
-        for k in range(len(lam))
-    )
-    return SignedTableau(shape=lam, rows=rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .oracle import oracle_plethysm, oracle_power_plethysm, oracle_product
-from .partitions import Partition, all_partitions, partition_count
+from .partitions import Partition, all_partitions
 from .positivity import (
     lr_bound,
     plethysm_filter_check,
@@ -190,15 +190,17 @@ def plethysm_stats(mu: Partition, nu: Partition) -> tuple[int, int, int]:
 def run_scope(scope: str, max_degree: int) -> list[SweepReport]:
     """The sweeps of one scope up to max_degree.  Every scope reaches degree
     max_degree itself (products with |mu| + |nu| = max, sxp with n = 1,
-    plethysm with |mu| = 1), so an oracle table over the budget raises
-    ValueError before any sweep starts."""
-    p = partition_count(max_degree)
-    if p * p > ORACLE_TABLE_BUDGET:
-        raise ValueError(
-            f"verify --max {max_degree} needs the oracle's character table at "
-            f"degree {max_degree}: p({max_degree}) = {p}, {p * p} entries, over "
-            f"the budget of {ORACLE_TABLE_BUDGET}"
-        )
+    plethysm with |mu| = 1), so before any sweep starts the first degree
+    whose oracle table is over the budget raises ValueError; p is increasing,
+    so no degree past it is enumerated."""
+    for d in range(max_degree + 1):
+        p = len(all_partitions(d))
+        if p * p > ORACLE_TABLE_BUDGET:
+            raise ValueError(
+                f"verify --max {max_degree} needs the oracle's character table at "
+                f"degree {d}: p({d}) = {p}, {p * p} entries, over the budget of "
+                f"{ORACLE_TABLE_BUDGET}"
+            )
     if scope == "lr":
         return [check_products(max_degree)]
     if scope == "sxp":

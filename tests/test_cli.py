@@ -4,8 +4,10 @@ import sys
 import time
 from pathlib import Path
 
-from schurkit.partitions import partition_count
-from schurkit.verification import ORACLE_TABLE_BUDGET
+import pytest
+
+from schurkit.partitions import all_partitions
+from schurkit.verification import ORACLE_TABLE_BUDGET, run_scope
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 
@@ -191,16 +193,28 @@ class TestVerify:
         assert "--max" in r.stderr
 
     def test_over_budget_fails_fast(self, cli_env):
+        # the message names the first degree over the budget, not max itself
         started = time.perf_counter()
         r = run_cli(["verify", "--max", "40"], cli_env)
         assert time.perf_counter() - started < 10
         assert r.returncode == 2
         assert r.stdout == ""
-        assert "--max 40" in r.stderr and "p(40) = 37338" in r.stderr
+        assert "--max 40" in r.stderr and "p(16) = 231" in r.stderr
         assert str(ORACLE_TABLE_BUDGET) in r.stderr
 
+    def test_far_over_budget_stops_at_first_degree(self, cli_env):
+        r = run_cli(["verify", "--max", "50000"], cli_env)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert len(r.stderr.encode()) < 300
+        assert "p(16) = 231" in r.stderr and str(ORACLE_TABLE_BUDGET) in r.stderr
+        started = time.perf_counter()
+        with pytest.raises(ValueError):
+            run_scope("all", 50000)
+        assert time.perf_counter() - started < 0.1
+
     def test_budget_admits_degree_15(self):
-        assert partition_count(15) ** 2 <= ORACLE_TABLE_BUDGET
+        assert len(all_partitions(15)) ** 2 <= ORACLE_TABLE_BUDGET
 
     def test_small_all(self, cli_env):
         r = run_cli(["verify", "--scope", "all", "--max", "4"], cli_env)

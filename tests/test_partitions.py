@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import factorial, prod
 
 import pytest
 
@@ -8,16 +9,32 @@ from schurkit import (
     Partition,
     Point,
     all_partitions,
-    evaluation_nonzero,
+    character,
     ideal_complement,
     minkowski_sum,
     outer_corners,
     partitions_of,
-    point_in_diagram,
+    z_of,
 )
-from schurkit.partitions import partition_count
 
 P = Partition
+
+
+def _class_weights(lam):
+    """(rho, |C_rho| chi^lam(rho)) over the cycle types rho of |lam|, so that
+    |lam|! s_lam = sum of |C_rho| chi^lam(rho) p_rho."""
+    n = lam.size
+    return [
+        (rho.parts, factorial(n) // z_of(rho) * character(lam, rho))
+        for rho in all_partitions(n)
+    ]
+
+
+def _hook_count(lam, weights, r, c):
+    """divmod(|lam|! hs_lam(1^r; 1^c), |lam|!): s_lam on r positive and c
+    negative letters, all set to 1, where p_k becomes r + (-1)^(k-1) c."""
+    total = sum(w * prod(r + (-1) ** (k - 1) * c for k in rho) for rho, w in weights)
+    return divmod(total, factorial(lam.size))
 
 
 class TestConstruction:
@@ -137,12 +154,12 @@ class TestOuterCorners:
         for n in range(9):
             for lam in all_partitions(n):
                 corners = outer_corners(lam)
-                assert all(not point_in_diagram(lam, p) for p in corners)
+                assert all(p.c >= lam[p.r] for p in corners)
                 # scan a window just past the diagram
                 for c in range(lam[0] + 2):
                     for r in range(len(lam) + 2):
                         p = Point(c, r)
-                        if point_in_diagram(lam, p):
+                        if p.c < lam[p.r]:
                             continue
                         rows = self._added(lam, p)
                         addable = p.c == lam[p.r] and all(
@@ -225,18 +242,35 @@ class TestIdealComplement:
 
 
 class TestPointMembership:
+    """(c, r) lies outside [lam] exactly when s_lam on r positive and c
+    negative letters is nonzero: the (r, c)-hook theorem of Berele and
+    Regev, which the Minkowski-corner and SXP bounds rest on.  Checked by
+    the exact count hs_lam(1^r; 1^c), with no tableau witness."""
+
+    def _count(self, lam, r, c):
+        return _hook_count(lam, _class_weights(lam), r, c)[0]
+
     def test_examples(self):
-        assert not point_in_diagram(P([3, 3, 3, 1]), Point(1, 3))
-        assert not point_in_diagram(P(), Point(0, 0))
-        assert point_in_diagram(P([3, 3, 1]), Point(0, 2))
+        assert self._count(P([3, 3, 3, 1]), 3, 1) > 0
+        assert self._count(P(), 0, 0) == 1
+        assert self._count(P([3, 3, 1]), 2, 0) == 0
+        # s_(3,2)(1, 1) = 2; hs_(2)(1; 1) = h_2 + h_1 e_1 + e_2 = 2, and its
+        # conjugate (1, 1) the same; s_(1) = r + c
+        assert self._count(P([3, 2]), 2, 0) == 2
+        assert self._count(P([2]), 1, 1) == self._count(P([1, 1]), 1, 1) == 2
+        assert self._count(P([1]), 4, 3) == 7
 
     def test_evaluation_nonzero_agrees(self):
-        lam = P([3, 2])
-        # r positive letters and c negative letters are enough iff the
-        # diagram omits (c, r)
-        assert evaluation_nonzero(lam, 2, 0)
-        assert evaluation_nonzero(lam, 3, 1)
-        assert not evaluation_nonzero(lam, 1, 0)
+        # both directions, on a window just past the diagram: the count is a
+        # non-negative integer, and positive exactly when lam[r] <= c
+        for n in range(13):
+            for lam in all_partitions(n):
+                weights = _class_weights(lam)
+                for r in range(len(lam) + 2):
+                    for c in range(lam[0] + 2):
+                        count, remainder = _hook_count(lam, weights, r, c)
+                        assert remainder == 0 and count >= 0
+                        assert (count > 0) == (lam[r] <= c)
 
 
 class TestGenerators:
@@ -245,11 +279,6 @@ class TestGenerators:
         expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
         for n, want in enumerate(expected):
             assert len(all_partitions(n)) == want
-
-    def test_partition_count_matches_enumeration(self):
-        for n in range(-2, 26):
-            assert partition_count(n) == len(all_partitions(n))
-        assert partition_count(100) == 190569292
 
     def test_descending_lex_order(self):
         ps = [p.parts for p in partitions_of(7)]

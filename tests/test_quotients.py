@@ -6,10 +6,7 @@ from schurkit import (
     NonEmptyCoreError,
     NotACoreError,
     Partition,
-    PointInDiagramError,
-    SignedTableau,
     all_partitions,
-    canonical_ssyt,
     decompose,
     reconstruct,
     sxp_plethysm,
@@ -159,81 +156,3 @@ class TestSxpSign:
                 for mu in sxp_plethysm(n, lam).support():
                     assert not decompose(mu, n).core
 
-
-class TestCanonicalTableau:
-    def test_positive_only(self):
-        t = canonical_ssyt(P([3, 2]), 2, 0)
-        assert t.rows == ((1, 1, 1), (2, 2))
-        assert t.is_valid()
-
-    def test_one_negative_column(self):
-        t = canonical_ssyt(P([2, 2, 2, 1]), 3, 1)
-        assert t.is_valid()
-        assert [row[0] for row in t.rows] == [-1, -1, -1, -1]
-        assert t.rows[0][1] == 1 and t.rows[2][1] == 3
-
-    def test_alphabet_for_hook_point(self):
-        # (c, r) = (1, 3) lies outside [(3, 2)], so three positive letters
-        # and one negative letter suffice
-        t = canonical_ssyt(P([3, 2]), 3, 1)
-        assert t.is_valid()
-        assert t.letters() == {-1, 1, 2}
-        assert t.letters() <= {-1, 1, 2, 3}
-
-    def test_point_inside_rejected(self):
-        with pytest.raises(PointInDiagramError):
-            canonical_ssyt(P([3, 2]), 1, 1)
-
-    def test_always_valid_when_defined(self):
-        for n in range(9):
-            for lam in all_partitions(n):
-                for r in range(len(lam) + 2):
-                    for c in range(lam[0] + 2):
-                        if lam[r] <= c:
-                            t = canonical_ssyt(lam, r, c)
-                            assert t.is_valid()
-                            letters = t.letters()
-                            assert all(-c <= x <= r for x in letters)
-
-
-class TestSignedTableauValidator:
-    def test_rejects_zero(self):
-        assert not SignedTableau(P([1]), ((0,),)).is_valid()
-
-    def test_rejects_positive_before_negative_in_row(self):
-        assert not SignedTableau(P([2]), ((1, -1),)).is_valid()
-
-    def test_rejects_weak_negative_row(self):
-        assert not SignedTableau(P([2]), ((-1, -1),)).is_valid()
-
-    def test_rejects_strict_positive_column_violation(self):
-        assert not SignedTableau(P([1, 1]), ((1,), (1,))).is_valid()
-
-    def test_accepts_mixed(self):
-        # negatives fill a left column, positives the rest
-        t = SignedTableau(P([3, 2]), ((-1, 1, 1), (-1, 2)))
-        assert t.is_valid()
-
-    def test_negative_column_weakness_ok(self):
-        t = SignedTableau(P([1, 1]), ((-2,), (-2,)))
-        assert t.is_valid()
-
-    def test_shape_mismatch(self):
-        assert not SignedTableau(P([2]), ((1,),)).is_valid()
-
-    def test_json_shape(self):
-        t = canonical_ssyt(P([3, 2]), 3, 1)
-        obj = t.to_json_obj()
-        assert obj["shape"] == [3, 2]
-        assert obj["rows"] == [[-1, 1, 1], [-1, 2]]
-
-
-class TestQuotientJson:
-    def test_round_trip_fields(self):
-        d = decompose(P([6, 4]), 2)
-        obj = d.to_json_obj()
-        assert obj == {"n": 2, "core": [], "quotient": [[2], [3]], "sign": 1}
-
-    def test_sign_null_when_core_nonempty(self):
-        obj = decompose(P([1]), 2).to_json_obj()
-        assert obj["sign"] is None
