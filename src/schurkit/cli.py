@@ -10,6 +10,9 @@ where ``output`` is byte-identical across runs for identical inputs.
 ``filter plethysm`` is a line filter: it reads one JSON partition array per
 line from stdin and echoes the ones that pass.
 
+The argument parser is built once per process, at import (``PARSER``), and
+every ``main`` call parses with it; argparse keeps no state between parses.
+
 Exit codes: 0 success, 1 verification or internal failure, 2 usage error.
 """
 
@@ -50,73 +53,50 @@ def parse_partition(text: str) -> Partition:
         raise argparse.ArgumentTypeError(f"bad partition literal {text!r}: {exc}")
 
 
-def _dump(doc: dict, pretty: bool) -> str:
-    if pretty:
-        return json.dumps(doc, indent=2) + "\n"
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+def _ms_since(started: float) -> float:
+    return round((time.perf_counter() - started) * 1000, 3)
 
 
-def _result(command: str, inputs: dict, output: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "output": output,
-        "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
-    }
-
-
-def _cmd_expand(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    if args.kind == "product":
-        if args.mu is None or args.nu is None:
-            return _usage("expand product needs -m and -v")
-        inputs = {"kind": "product", "mu": args.mu.to_list(), "nu": args.nu.to_list()}
-        expansion = multi_schur_product([args.mu, args.nu])
-    elif args.kind == "sxp":
+# Each _cmd_* returns (inputs, output), or (inputs, output, phase_ms), for
+# main to print; a usage error raises ValueError.
+def _cmd_expand(args: argparse.Namespace) -> tuple[dict, dict]:
+    if args.kind == "sxp":
         if args.n is None or args.lam is None:
-            return _usage("expand sxp needs -n and -l")
+            raise ValueError("expand sxp needs -n and -l")
         inputs = {"kind": "sxp", "n": args.n, "lam": args.lam.to_list()}
-        expansion = sxp_plethysm(args.n, args.lam)
+        return inputs, sxp_plethysm(args.n, args.lam).to_json_obj()
+    if args.mu is None or args.nu is None:
+        raise ValueError(f"expand {args.kind} needs -m and -v")
+    inputs = {"kind": args.kind, "mu": args.mu.to_list(), "nu": args.nu.to_list()}
+    if args.kind == "product":
+        expansion = multi_schur_product([args.mu, args.nu])
     else:  # plethysm
-        if args.mu is None or args.nu is None:
-            return _usage("expand plethysm needs -m and -v")
-        inputs = {"kind": "plethysm", "mu": args.mu.to_list(), "nu": args.nu.to_list()}
         expansion = schur_plethysm(args.mu, args.nu)
-    doc = _result("expand", inputs, expansion.to_json_obj(), started)
-    sys.stdout.write(_dump(doc, args.pretty))
-    return 0
+    return inputs, expansion.to_json_obj()
 
 
-def _cmd_filter(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_filter(args: argparse.Namespace) -> tuple[dict, dict] | None:
     if args.kind == "lr":
         if not args.mu:
-            return _usage("filter lr needs at least one -m")
-        inputs = {"kind": "lr", "factors": [m.to_list() for m in args.mu]}
+            raise ValueError("filter lr needs at least one -m")
         corners = corner_sum(args.mu)
         output = {
             "theta": ideal_complement(corners).to_list(),
             "corner_sum": [list(p) for p in sorted(corners)],
         }
-        doc = _result("filter", inputs, output, started)
-        sys.stdout.write(_dump(doc, args.pretty))
-        return 0
+        return {"kind": "lr", "factors": [m.to_list() for m in args.mu]}, output
     if args.kind == "sxp":
         if args.n is None or args.lam is None:
-            return _usage("filter sxp needs -n and -l")
-        inputs = {"kind": "sxp", "n": args.n, "lam": args.lam.to_list()}
-        bounds = sxp_upper_bound(args.n, args.lam)
-        output = bounds.to_json_obj()
+            raise ValueError("filter sxp needs -n and -l")
+        output = sxp_upper_bound(args.n, args.lam).to_json_obj()
         if args.candidates:
             output["candidates"] = [
                 mu.to_list() for mu in enumerate_candidates(args.n, args.lam)
             ]
-        doc = _result("filter", inputs, output, started)
-        sys.stdout.write(_dump(doc, args.pretty))
-        return 0
-    # plethysm: line filter over stdin
+        return {"kind": "sxp", "n": args.n, "lam": args.lam.to_list()}, output
+    # plethysm: line filter over stdin, printing as it reads
     if args.nu is None:
-        return _usage("filter plethysm needs -v")
+        raise ValueError("filter plethysm needs -v")
     for line in sys.stdin:
         line = line.strip()
         if not line:
@@ -127,68 +107,39 @@ def _cmd_filter(args: argparse.Namespace) -> int:
                 raise ValueError("expected a JSON array of ints")
             lam = Partition(parts)
         except ValueError as exc:  # json.JSONDecodeError is a ValueError
-            sys.stderr.write(f"bad partition line {line!r}: {exc}\n")
-            return USAGE_ERROR
+            raise ValueError(f"bad partition line {line!r}: {exc}") from None
         if plethysm_filter_check(args.nu, lam):
             sys.stdout.write(json.dumps(lam.to_list(), separators=(",", ":")) + "\n")
-    return 0
+    return None
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    inputs = {"mu": args.mu.to_list(), "nu": args.nu.to_list()}
-    phases = {}
+def _cmd_stats(args: argparse.Namespace) -> tuple[dict, dict, dict]:
     t0 = time.perf_counter()
     total, after_filter = containment_counts(args.mu, args.nu)
-    phases["filter"] = round((time.perf_counter() - t0) * 1000, 3)
+    phases = {"filter": _ms_since(t0)}
     t0 = time.perf_counter()
     support = len(schur_plethysm(args.mu, args.nu))
-    phases["support"] = round((time.perf_counter() - t0) * 1000, 3)
+    phases["support"] = _ms_since(t0)
     output = {
         "total": str(total),
         "after_filter": str(after_filter),
         "actual_support": str(support),
     }
-    doc = _result("stats", inputs, output, started)
-    doc["phase_ms"] = phases  # timings sit outside the deterministic payload
-    sys.stdout.write(_dump(doc, args.pretty))
-    return 0
+    return {"mu": args.mu.to_list(), "nu": args.nu.to_list()}, output, phases
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.max < 0:
-        return _usage(f"verify --max must be a degree >= 0, got {args.max}")
-    started = time.perf_counter()
-    inputs = {"scope": args.scope, "max_degree": args.max}
+        raise ValueError(f"verify --max must be a degree >= 0, got {args.max}")
     reports = run_scope(args.scope, args.max)
-    output = {
-        "checks": [
-            {"scope": r.scope, "cases": r.cases, "ok": r.ok} for r in reports
-        ],
-        "status": "pass" if all(r.ok for r in reports) else "fail",
-    }
     failed = [r for r in reports if not r.ok]
+    output = {
+        "checks": [{"scope": r.scope, "cases": r.cases, "ok": r.ok} for r in reports],
+        "status": "fail" if failed else "pass",
+    }
     if failed:
         output["counterexample"] = failed[0].counterexample
-    doc = _result("verify", inputs, output, started)
-    sys.stdout.write(_dump(doc, args.pretty))
-    return 0 if not failed else FAILURE
-
-
-def _usage(message: str) -> int:
-    sys.stderr.write(f"error: {message}\n")
-    return USAGE_ERROR
-
-
-def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # registered on the root parser and again on every subcommand with a
-    # SUPPRESS default, so the flag works in either position
-    parser.add_argument(
-        "--pretty",
-        action="store_true",
-        default=argparse.SUPPRESS if suppress else False,
-        help="indent JSON output",
-    )
+    return {"scope": args.scope, "max_degree": args.max}, output
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="schurkit",
         description="Exact Schur function products, plethysms, and positivity filters.",
     )
-    _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     expand = sub.add_parser("expand", help="print a Schur expansion")
@@ -205,14 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("-v", "--nu", type=parse_partition, default=None)
     expand.add_argument("-n", type=int, default=None)
     expand.add_argument("-l", "--lam", type=parse_partition, default=None)
-    _add_global_flags(expand, suppress=True)
     expand.set_defaults(func=_cmd_expand)
 
     filt = sub.add_parser("filter", help="positivity filters and bounds")
     filt.add_argument("kind", choices=["lr", "sxp", "plethysm"])
-    filt.add_argument(
-        "-m", "--mu", type=parse_partition, action="append", default=None
-    )
+    filt.add_argument("-m", "--mu", type=parse_partition, action="append", default=None)
     filt.add_argument("-v", "--nu", type=parse_partition, default=None)
     filt.add_argument("-n", type=int, default=None)
     filt.add_argument("-l", "--lam", type=parse_partition, default=None)
@@ -221,15 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also list every partition passing all sxp filters",
     )
-    _add_global_flags(filt, suppress=True)
     filt.set_defaults(func=_cmd_filter)
 
-    stats = sub.add_parser(
-        "stats", help="pruning statistics for a plethysm support"
-    )
+    stats = sub.add_parser("stats", help="pruning statistics for a plethysm support")
     stats.add_argument("mu", type=parse_partition)
     stats.add_argument("nu", type=parse_partition)
-    _add_global_flags(stats, suppress=True)
     stats.set_defaults(func=_cmd_stats)
 
     verify = sub.add_parser(
@@ -239,22 +182,48 @@ def build_parser() -> argparse.ArgumentParser:
         "--scope", choices=["all", "lr", "sxp", "plethysm"], default="all"
     )
     verify.add_argument("--max", type=int, default=6, metavar="DEGREE")
-    _add_global_flags(verify, suppress=True)
     verify.set_defaults(func=_cmd_verify)
+
+    # --pretty works before and after the subcommand: a subcommand's SUPPRESS
+    # default leaves the root's value alone unless the flag follows it
+    for p in (parser, expand, filt, stats, verify):
+        p.add_argument(
+            "--pretty",
+            action="store_true",
+            default=False if p is parser else argparse.SUPPRESS,
+            help="indent JSON output",
+        )
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        result = args.func(args)
     except NonIntegralResultError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return FAILURE
     except (ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
+    if result is None:  # filter plethysm printed its own lines
+        return 0
+    inputs, output, *phase_ms = result
+    doc = {
+        "command": args.command,
+        "inputs": inputs,
+        "output": output,
+        "elapsed_ms": _ms_since(started),
+    }
+    if phase_ms:  # timings sit outside the deterministic payload
+        doc["phase_ms"] = phase_ms[0]
+    layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
+    sys.stdout.write(json.dumps(doc, **layout) + "\n")
+    return FAILURE if output.get("status") == "fail" else 0  # only verify has one
 
 
 if __name__ == "__main__":

@@ -201,16 +201,14 @@ def run_scope(scope: str, max_degree: int) -> list[SweepReport]:
                 f"degree {d}: p({d}) = {p}, {p * p} entries, over the budget of "
                 f"{ORACLE_TABLE_BUDGET}"
             )
-    if scope == "lr":
-        return [check_products(max_degree)]
-    if scope == "sxp":
-        return [check_sxp(max_degree)]
-    if scope == "plethysm":
-        return [check_plethysm(max_degree)]
-    if scope == "all":
-        return [
-            check_products(max_degree),
-            check_sxp(max_degree),
-            check_plethysm(max_degree),
-        ]
-    raise ValueError(f"unknown scope {scope!r}")
+    # built per call, so a sweep wrapped on the module (as bench/spans.py
+    # wraps them) is the one that runs
+    sweeps = {
+        "lr": (check_products,),
+        "sxp": (check_sxp,),
+        "plethysm": (check_plethysm,),
+        "all": (check_products, check_sxp, check_plethysm),
+    }
+    if scope not in sweeps:
+        raise ValueError(f"unknown scope {scope!r}")
+    return [sweep(max_degree) for sweep in sweeps[scope]]

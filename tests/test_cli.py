@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -29,6 +32,32 @@ def payload(result):
     return doc["output"]
 
 
+def strip_elapsed(text):
+    return re.sub(r'"elapsed_ms": ?[-+0-9.eE]+', '"elapsed_ms": 0', text)
+
+
+def run_in_process(args):
+    import schurkit.cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = schurkit.cli.main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+# every flag a subcommand cannot run without, and the line it prints
+MISSING_ARGUMENTS = [
+    pytest.param(["expand", "product", "-m", "1"], "expand product needs -m and -v",
+                 id="expand-product"),
+    pytest.param(["expand", "sxp", "-n", "2"], "expand sxp needs -n and -l", id="expand-sxp"),
+    pytest.param(["expand", "plethysm", "-v", "1"], "expand plethysm needs -m and -v",
+                 id="expand-plethysm"),
+    pytest.param(["filter", "lr"], "filter lr needs at least one -m", id="filter-lr"),
+    pytest.param(["filter", "sxp", "-l", "2"], "filter sxp needs -n and -l", id="filter-sxp"),
+    pytest.param(["filter", "plethysm"], "filter plethysm needs -v", id="filter-plethysm"),
+]
+
+
 class TestExpand:
     def test_sxp_twelve_terms(self, cli_env):
         r = run_cli(["expand", "sxp", "-n", "2", "-l", "3,2"], cli_env)
@@ -54,9 +83,13 @@ class TestExpand:
         r = run_cli(["expand", "sxp", "-n", "2", "-l", "2,3"], cli_env)
         assert r.returncode == 2
 
-    def test_missing_argument_exit_2(self, cli_env):
-        r = run_cli(["expand", "sxp", "-n", "2"], cli_env)
+    @pytest.mark.parametrize("args, message", MISSING_ARGUMENTS)
+    def test_missing_argument_exit_2(self, cli_env, args, message):
+        # --pretty before the subcommand is a root flag and changes nothing here
+        r = run_cli(["--pretty", *args], cli_env)
         assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: {message}\n"
 
     def test_internal_error_exit_1(self, monkeypatch, capsys):
         import schurkit.cli
@@ -122,7 +155,8 @@ class TestFilter:
         for line in ("[2,3]", "[1.5]", '"21"', "[true]"):
             r = run_cli(["filter", "plethysm", "-v", "1"], cli_env, stdin=line + "\n")
             assert r.returncode == 2, line
-            assert r.stdout == "" and "bad partition line" in r.stderr, line
+            assert r.stdout == "", line
+            assert r.stderr.startswith(f"error: bad partition line {line!r}"), line
 
 
 class TestStats:
@@ -213,6 +247,24 @@ class TestVerify:
             run_scope("all", 50000)
         assert time.perf_counter() - started < 0.1
 
+    def test_failed_sweep_exit_1(self, monkeypatch, capsys):
+        import schurkit.cli
+        import schurkit.verification
+        from schurkit.schur import SchurExpansion
+
+        # every product comes back as 0, so the first pair, () * (), mismatches
+        monkeypatch.setattr(
+            schurkit.verification, "multi_schur_product", lambda factors: SchurExpansion(0, {})
+        )
+        assert schurkit.cli.main(["verify", "--scope", "lr", "--max", "2"]) == 1
+        out = json.loads(capsys.readouterr().out)["output"]
+        assert out["status"] == "fail"
+        assert out["checks"] == [{"scope": "lr", "cases": 1, "ok": False}]
+        bad = out["counterexample"]
+        assert bad["kind"] == "oracle mismatch"
+        assert (bad["mu"], bad["nu"]) == ([], [])
+        assert bad["diff_fast_vs_oracle"] == {"[]": [0, 1]}
+
     def test_budget_admits_degree_15(self):
         assert len(all_partitions(15)) ** 2 <= ORACLE_TABLE_BUDGET
 
@@ -236,6 +288,25 @@ class TestDeterminism:
         r = run_cli(["expand", "product", "-m", "1", "-v", "1", "--pretty"], cli_env)
         assert r.returncode == 0
         assert r.stdout.startswith("{\n")
+
+    def test_shared_parser_keeps_no_state(self, cli_env):
+        # main parses with one parser per process: each call in a row must
+        # print what a fresh process prints for it alone
+        calls = [
+            ["--pretty", "expand", "product", "-m", "1", "-v", "1"],
+            ["expand", "product", "-m", "1", "-v", "1"],  # compact again
+            ["filter", "lr", "-m", "3,2", "-m", "1,1"],
+            ["filter", "lr", "-m", "3,2", "-m", "1,1"],  # -m list does not grow
+            ["expand", "sxp", "-n", "2"],  # usage error
+            ["expand", "sxp", "-n", "2", "-l", "3,2"],
+        ]
+        runs = [run_in_process(args) for args in calls]
+        assert runs[0][1].startswith("{\n") and runs[1][1].startswith('{"command"')
+        for args, (code, out, err) in zip(calls, runs):
+            fresh = run_cli(args, cli_env)
+            assert (code, strip_elapsed(out), err) == (
+                fresh.returncode, strip_elapsed(fresh.stdout), fresh.stderr
+            ), args
 
     def test_partitions_round_trip_through_json(self, cli_env):
         from schurkit import Partition
