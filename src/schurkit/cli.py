@@ -10,10 +10,14 @@ where ``output`` is byte-identical across runs for identical inputs.
 ``filter plethysm`` is a line filter: it reads one JSON partition array per
 line from stdin and echoes the ones that pass.
 
-The argument parser is built once per process, at import (``PARSER``), and
-every ``main`` call parses with it; argparse keeps no state between parses.
+Each kind of ``expand`` {product, sxp, plethysm} and ``filter`` {lr, sxp,
+plethysm} is its own subparser and takes exactly the flags it reads, so a
+flag of another kind is refused.  The parser is built once per process, at
+import (``PARSER``), and every ``main`` call parses with it; argparse keeps
+no state between parses.
 
 Exit codes: 0 success, 1 verification or internal failure, 2 usage error.
+Every usage error, argparse's own included, prints one ``error: ...`` line.
 """
 
 from __future__ import annotations
@@ -53,6 +57,11 @@ def parse_partition(text: str) -> Partition:
         raise argparse.ArgumentTypeError(f"bad partition literal {text!r}: {exc}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints it as the one "error: ..." line
+        raise ValueError(message)
+
+
 def _ms_since(started: float) -> float:
     return round((time.perf_counter() - started) * 1000, 3)
 
@@ -61,12 +70,8 @@ def _ms_since(started: float) -> float:
 # main to print; a usage error raises ValueError.
 def _cmd_expand(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.kind == "sxp":
-        if args.n is None or args.lam is None:
-            raise ValueError("expand sxp needs -n and -l")
         inputs = {"kind": "sxp", "n": args.n, "lam": args.lam.to_list()}
         return inputs, sxp_plethysm(args.n, args.lam).to_json_obj()
-    if args.mu is None or args.nu is None:
-        raise ValueError(f"expand {args.kind} needs -m and -v")
     inputs = {"kind": args.kind, "mu": args.mu.to_list(), "nu": args.nu.to_list()}
     if args.kind == "product":
         expansion = multi_schur_product([args.mu, args.nu])
@@ -77,8 +82,6 @@ def _cmd_expand(args: argparse.Namespace) -> tuple[dict, dict]:
 
 def _cmd_filter(args: argparse.Namespace) -> tuple[dict, dict] | None:
     if args.kind == "lr":
-        if not args.mu:
-            raise ValueError("filter lr needs at least one -m")
         corners = corner_sum(args.mu)
         output = {
             "theta": ideal_complement(corners).to_list(),
@@ -86,8 +89,6 @@ def _cmd_filter(args: argparse.Namespace) -> tuple[dict, dict] | None:
         }
         return {"kind": "lr", "factors": [m.to_list() for m in args.mu]}, output
     if args.kind == "sxp":
-        if args.n is None or args.lam is None:
-            raise ValueError("filter sxp needs -n and -l")
         output = sxp_upper_bound(args.n, args.lam).to_json_obj()
         if args.candidates:
             output["candidates"] = [
@@ -95,8 +96,6 @@ def _cmd_filter(args: argparse.Namespace) -> tuple[dict, dict] | None:
             ]
         return {"kind": "sxp", "n": args.n, "lam": args.lam.to_list()}, output
     # plethysm: line filter over stdin, printing as it reads
-    if args.nu is None:
-        raise ValueError("filter plethysm needs -v")
     for line in sys.stdin:
         line = line.strip()
         if not line:
@@ -143,56 +142,53 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="schurkit",
-        description="Exact Schur function products, plethysms, and positivity filters.",
-    )
+    parser = _Parser(prog="schurkit", description="Exact Schur function products, "
+                     "plethysms, and positivity filters.")
+    pretty = {"action": "store_true", "help": "indent JSON output"}
+    parser.add_argument("--pretty", **pretty)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    expand = sub.add_parser("expand", help="print a Schur expansion")
-    expand.add_argument("kind", choices=["product", "sxp", "plethysm"])
-    expand.add_argument("-m", "--mu", type=parse_partition, default=None)
-    expand.add_argument("-v", "--nu", type=parse_partition, default=None)
-    expand.add_argument("-n", type=int, default=None)
-    expand.add_argument("-l", "--lam", type=parse_partition, default=None)
-    expand.set_defaults(func=_cmd_expand)
+    def add(group, name, help, func=None):
+        # --pretty may also follow any subcommand or kind; SUPPRESS leaves
+        # the root's value alone unless it does
+        p = group.add_parser(name, help=help)
+        p.add_argument("--pretty", default=argparse.SUPPRESS, **pretty)
+        p.set_defaults(func=func)  # a kind's func replaces its command's None
+        return p
 
-    filt = sub.add_parser("filter", help="positivity filters and bounds")
-    filt.add_argument("kind", choices=["lr", "sxp", "plethysm"])
-    filt.add_argument("-m", "--mu", type=parse_partition, action="append", default=None)
-    filt.add_argument("-v", "--nu", type=parse_partition, default=None)
-    filt.add_argument("-n", type=int, default=None)
-    filt.add_argument("-l", "--lam", type=parse_partition, default=None)
-    filt.add_argument(
-        "--candidates",
-        action="store_true",
-        help="also list every partition passing all sxp filters",
-    )
-    filt.set_defaults(func=_cmd_filter)
+    expand = add(sub, "expand", "print a Schur expansion")
+    kinds = expand.add_subparsers(dest="kind", required=True)
+    product = add(kinds, "product", "s_mu * s_nu", _cmd_expand)
+    expand_sxp = add(kinds, "sxp", "p_n o s_lam", _cmd_expand)
+    expand_plethysm = add(kinds, "plethysm", "s_mu o s_nu", _cmd_expand)
 
-    stats = sub.add_parser("stats", help="pruning statistics for a plethysm support")
+    filt = add(sub, "filter", "positivity filters and bounds")
+    kinds = filt.add_subparsers(dest="kind", required=True)
+    lr = add(kinds, "lr", "bounding shape of a Schur product", _cmd_filter)
+    filter_sxp = add(kinds, "sxp", "bounds on the support of p_n o s_lam", _cmd_filter)
+    filter_plethysm = add(kinds, "plethysm", "stdin lines that contain nu", _cmd_filter)
+
+    # each kind declares exactly the flags its branch of _cmd_* reads
+    lr.add_argument("-m", "--mu", type=parse_partition, action="append", required=True)
+    for p in (product, expand_plethysm):
+        p.add_argument("-m", "--mu", type=parse_partition, required=True)
+    for p in (product, expand_plethysm, filter_plethysm):
+        p.add_argument("-v", "--nu", type=parse_partition, required=True)
+    for p in (expand_sxp, filter_sxp):
+        p.add_argument("-n", type=int, required=True)
+        p.add_argument("-l", "--lam", type=parse_partition, required=True)
+    filter_sxp.add_argument("--candidates", action="store_true",
+                            help="also list every partition passing all sxp filters")
+
+    stats = add(sub, "stats", "pruning statistics for a plethysm support", _cmd_stats)
     stats.add_argument("mu", type=parse_partition)
     stats.add_argument("nu", type=parse_partition)
-    stats.set_defaults(func=_cmd_stats)
 
-    verify = sub.add_parser(
-        "verify", help="run oracle-equivalence and filter-soundness sweeps"
-    )
-    verify.add_argument(
-        "--scope", choices=["all", "lr", "sxp", "plethysm"], default="all"
-    )
+    verify = add(sub, "verify", "run oracle-equivalence and filter-soundness sweeps",
+                 _cmd_verify)
+    verify.add_argument("--scope", choices=["all", "lr", "sxp", "plethysm"],
+                        default="all")
     verify.add_argument("--max", type=int, default=6, metavar="DEGREE")
-    verify.set_defaults(func=_cmd_verify)
-
-    # --pretty works before and after the subcommand: a subcommand's SUPPRESS
-    # default leaves the root's value alone unless the flag follows it
-    for p in (parser, expand, filt, stats, verify):
-        p.add_argument(
-            "--pretty",
-            action="store_true",
-            default=False if p is parser else argparse.SUPPRESS,
-            help="indent JSON output",
-        )
     return parser
 
 
@@ -200,9 +196,9 @@ PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = PARSER.parse_args(argv)
-    started = time.perf_counter()
     try:
+        args = PARSER.parse_args(argv)
+        started = time.perf_counter()
         result = args.func(args)
     except NonIntegralResultError as exc:
         sys.stderr.write(f"internal error: {exc}\n")

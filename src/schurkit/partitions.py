@@ -12,7 +12,7 @@ are a named type instead of bare tuples.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import lt
+from operator import index, lt
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -42,7 +42,7 @@ class Partition:
     __slots__ = ("_parts", "_size")
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(map(int, parts))
+        ps = tuple(map(index, parts))  # an int-like part, never a float or str
         if ps and ps[-1] <= 0:  # clean input skips the stripping loop
             while ps and ps[-1] == 0:
                 ps = ps[:-1]
@@ -147,8 +147,8 @@ def outer_corners(lam: Partition) -> frozenset[Point]:
 def minkowski_sum(a: Iterable[Point], b: Iterable[Point]) -> frozenset[Point]:
     """{p + q : p in a, q in b} with coordinate-wise addition.
 
-    Duplicates collapse but dominated points are kept; reduction to an
-    antichain is ideal_complement's job.
+    Duplicates collapse but dominated points are kept: ideal_complement
+    reads every generator, and a dominated one never changes its result.
     """
     aset, bset = set(a), set(b)
     if not aset or not bset:
@@ -156,34 +156,25 @@ def minkowski_sum(a: Iterable[Point], b: Iterable[Point]) -> frozenset[Point]:
     return frozenset(p + q for p in aset for q in bset)
 
 
-def _minimal_antichain(points: set[Point]) -> list[Point]:
-    return [
-        p
-        for p in points
-        if not any(q != p and q.c <= p.c and q.r <= p.r for q in points)
-    ]
-
-
 def ideal_complement(generators: Iterable[Point]) -> Partition:
     """The partition whose diagram is the complement of the ideal generated
     by ``generators`` under coordinate-wise order.
 
     A point survives iff no generator is <= it coordinate-wise, so row r of
-    the result has length min{q.c : q.r <= r}.  The complement is finite only
-    when the generators include a point on each axis (some c = 0 and some
-    r = 0); otherwise InfiniteRegionError is raised.
+    the result has length min{q.c : q.r <= r}: the diagram is the
+    intersection of the generators' fat-hook regions.  A generator above and
+    right of another only adds a region that contains the other's, so no
+    antichain reduction is needed.  The complement is finite only when the
+    generators include a point on each axis (some c = 0 and some r = 0);
+    otherwise InfiniteRegionError is raised.
     """
     pts = {Point(p[0], p[1]) for p in generators}
     if not any(p.c == 0 for p in pts) or not any(p.r == 0 for p in pts):
         raise InfiniteRegionError(
             "generators must include a point with c = 0 and a point with r = 0"
         )
-    gens = _minimal_antichain(pts)
-    first_empty_row = min(p.r for p in gens if p.c == 0)
-    rows = []
-    for r in range(first_empty_row):
-        rows.append(min(p.c for p in gens if p.r <= r))
-    return Partition(rows)
+    first_empty_row = min(p.r for p in pts if p.c == 0)
+    return Partition(min(p.c for p in pts if p.r <= r) for r in range(first_empty_row))
 
 
 def partitions_of(n: int) -> Iterator[Partition]:

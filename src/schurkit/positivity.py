@@ -149,19 +149,20 @@ def enumerate_candidates(n: int, lam: Partition) -> list[Partition]:
     lexicographic order, and inside ``sxp_upper_bound``'s intersection,
     which holds every partition of size n|lam| that contains lam.
 
-    The walk places each n-quotient of size |lam| with the empty core and
-    |lam| + 1 beads per runner, M in all, so size and core hold by
-    construction; mu contains lam exactly when its k-th largest bead is at
-    least lam_k + M-1-k, so only candidates become Partitions.
+    The walk takes every component (|lam| rows of width |lam|) and places
+    each n-quotient of size |lam| with the empty core and |lam| + 1 beads
+    per runner, M in all, so size and core hold by construction; mu
+    contains lam exactly when its k-th largest bead is at least
+    lam_k + M-1-k, so only candidates become Partitions.
     """
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
     if n == 1:  # p_1 o s_lam = s_lam, and lam is the only mu of its size >= lam
         return [lam]
-    c = lam.size + 1
+    c = lam.size + 1  # the walk's beads per runner
     need = [p + n * c - 1 - k for k, p in enumerate(lam)]
     out = []
-    for _, beads in _quotient_walk(n, lam.size, c, (lam.size,) * lam.size):
+    for _, beads in _quotient_walk(n, lam.size, (lam.size,) * lam.size):
         beads.sort(reverse=True)
         if all(map(ge, beads, need)):
             out.append(_partition_from_beta(beads))

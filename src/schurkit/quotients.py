@@ -16,10 +16,11 @@ one bottom bead per runner, so the runner labelling, core and quotient are
 all independent of the padding.  Runner k carries quotient component k.
 
 The SXP index set lives here: ``_quotient_walk`` runs over n-quotients of
-int part tuples and places each with the empty core and c beads per runner.
-``enumerate_candidates`` walks every component (c = |lam| + 1) and tests
-containment on the beads; ``sxp_plethysm`` walks only components inside lam
-(c = len(lam) + 1) and reads mu and its sign off the beads.
+int part tuples and places each with the empty core and one bead per runner
+more than the longest component may have parts.  ``enumerate_candidates``
+walks every component (|lam| rows, so |lam| + 1 beads) and tests containment
+on the beads; ``sxp_plethysm`` walks only components inside lam
+(len(lam) + 1 beads) and reads mu and its sign off the beads.
 """
 
 from __future__ import annotations
@@ -141,12 +142,13 @@ def reconstruct(n: int, core: Partition, quotient: Sequence[Partition]) -> Parti
     return Partition(_partition_from_beta(beads))
 
 
-def _quotient_walk(n: int, total: int, c: int, outer: Sequence[int]) -> Iterator:
+def _quotient_walk(n: int, total: int, outer: Sequence[int]) -> Iterator:
     """Every n-quotient of size ``total`` whose components fit inside
     ``outer``, as part tuples, with the unsorted beads of the partition it
-    gives with the empty core.  Every runner holds c > len(outer) beads, so
-    a component's positions on runner i do not depend on the others: one
-    table per call holds them."""
+    gives with the empty core.  Every runner holds c = len(outer) + 1 beads,
+    more than any component has parts, so a component's positions on
+    runner i do not depend on the others: one table per call holds them."""
+    c = len(outer) + 1
     shapes = [()]
     for r, cap in enumerate(outer):  # grow every shape of r rows by a row
         shapes += [

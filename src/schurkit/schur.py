@@ -83,7 +83,7 @@ class SchurExpansion:
         return (
             isinstance(other, SchurExpansion)
             and self._degree == other._degree
-            and dict(self._terms) == dict(other._terms)
+            and self._terms == other._terms  # mappingproxy compares its dicts
         )
 
     def __hash__(self) -> int:
@@ -315,7 +315,7 @@ def sxp_plethysm(n: int, lam: Partition) -> SchurExpansion:
     if n == 1:
         return SchurExpansion(lam.size, {lam: 1})
     terms, coeffs = {}, {}
-    for tup, beads in _quotient_walk(n, lam.size, len(lam) + 1, lam.parts):
+    for tup, beads in _quotient_walk(n, lam.size, lam.parts):
         factors = tuple(sorted(tup))  # the pairing ignores the factor order
         if factors not in coeffs:
             coeffs[factors] = _product_coefficient(lam.parts, factors)

@@ -45,16 +45,33 @@ def run_in_process(args):
     return code, out.getvalue(), err.getvalue()
 
 
-# every flag a subcommand cannot run without, and the line it prints
+# every flag a kind cannot run without, and argparse's line for it
 MISSING_ARGUMENTS = [
-    pytest.param(["expand", "product", "-m", "1"], "expand product needs -m and -v",
+    pytest.param(["expand", "product", "-m", "1"],
+                 "the following arguments are required: -v/--nu", id="expand-product"),
+    pytest.param(["expand", "sxp", "-n", "2"],
+                 "the following arguments are required: -l/--lam", id="expand-sxp"),
+    pytest.param(["expand", "plethysm", "-v", "1"],
+                 "the following arguments are required: -m/--mu", id="expand-plethysm"),
+    pytest.param(["filter", "lr"],
+                 "the following arguments are required: -m/--mu", id="filter-lr"),
+    pytest.param(["filter", "sxp", "-l", "2"],
+                 "the following arguments are required: -n", id="filter-sxp"),
+    pytest.param(["filter", "plethysm"],
+                 "the following arguments are required: -v/--nu", id="filter-plethysm"),
+]
+
+# each kind with a flag that only another kind takes
+FOREIGN_FLAGS = [
+    pytest.param(["expand", "product", "-m", "2", "-v", "1"], ["-n", "3", "-l", "2"],
                  id="expand-product"),
-    pytest.param(["expand", "sxp", "-n", "2"], "expand sxp needs -n and -l", id="expand-sxp"),
-    pytest.param(["expand", "plethysm", "-v", "1"], "expand plethysm needs -m and -v",
+    pytest.param(["expand", "sxp", "-n", "2", "-l", "1"], ["-m", "1"], id="expand-sxp"),
+    pytest.param(["expand", "plethysm", "-m", "1", "-v", "1"], ["--candidates"],
                  id="expand-plethysm"),
-    pytest.param(["filter", "lr"], "filter lr needs at least one -m", id="filter-lr"),
-    pytest.param(["filter", "sxp", "-l", "2"], "filter sxp needs -n and -l", id="filter-sxp"),
-    pytest.param(["filter", "plethysm"], "filter plethysm needs -v", id="filter-plethysm"),
+    pytest.param(["filter", "lr", "-m", "1"], ["--candidates", "-n", "4", "-l", "9"],
+                 id="filter-lr"),
+    pytest.param(["filter", "sxp", "-n", "2", "-l", "1"], ["-v", "1"], id="filter-sxp"),
+    pytest.param(["filter", "plethysm", "-v", "1"], ["-m", "1"], id="filter-plethysm"),
 ]
 
 
@@ -90,6 +107,30 @@ class TestExpand:
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args, foreign", FOREIGN_FLAGS)
+    def test_foreign_flag_exit_2(self, cli_env, args, foreign):
+        assert run_cli(args, cli_env, stdin="").returncode == 0
+        r = run_cli([*args, *foreign], cli_env, stdin="")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: unrecognized arguments: {' '.join(foreign)}\n"
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(["expand", "sxp", "-n", "2", "-l", "2,3"], id="bad-literal"),
+        pytest.param(["expand", "sxp", "-n", "two", "-l", "2"], id="bad-int"),
+        pytest.param(["expand", "power", "-m", "1", "-v", "1"], id="unknown-kind"),
+        pytest.param(["filter"], id="missing-kind"),
+        pytest.param([], id="missing-subcommand"),
+        pytest.param(["verify", "--scope", "everything"], id="unknown-scope"),
+    ])
+    def test_usage_error_is_one_line(self, cli_env, args):
+        # argparse's own errors leave through main: no usage block
+        r = run_cli(args, cli_env)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ")
+        assert r.stderr.count("\n") == 1 and "usage:" not in r.stderr
 
     def test_internal_error_exit_1(self, monkeypatch, capsys):
         import schurkit.cli

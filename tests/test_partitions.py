@@ -58,6 +58,14 @@ class TestConstruction:
         assert not P()
         assert lam
 
+    def test_rejects_non_integer_parts(self):
+        # parts convert with operator.index: floats are not truncated and
+        # strings are not parsed
+        for parts in ([2.7, 1.2], ["3", "1"], [2, 1.0]):
+            with pytest.raises(TypeError):
+                P(parts)
+        assert type(P([True])[0]) is int  # a bool part is stored as the int 1
+
     def test_hash_and_eq(self):
         assert hash(P([3, 2])) == hash(P((3, 2)))
         assert P([3, 2]) != P([3, 2, 1])
@@ -239,6 +247,19 @@ class TestIdealComplement:
         for n in range(13):
             for lam in all_partitions(n):
                 assert ideal_complement(outer_corners(lam)) == lam
+
+    def test_random_generators_brute_force(self):
+        # duplicates and dominated generators included: (c, r) is a cell
+        # exactly when no generator is <= it coordinate-wise
+        rng = random.Random(13)
+        for _ in range(300):
+            gens = [Point(0, rng.randrange(1, 7)), Point(rng.randrange(1, 7), 0)]
+            gens += [Point(rng.randrange(7), rng.randrange(7)) for _ in range(rng.randrange(8))]
+            gens += rng.choices(gens, k=2)  # duplicates
+            lam = ideal_complement(gens)
+            for c, r in itertools.product(range(8), repeat=2):
+                outside = any(g.c <= c and g.r <= r for g in gens)
+                assert (c < lam[r]) != outside, (gens, c, r)
 
 
 class TestPointMembership:
