@@ -1,13 +1,13 @@
 """Brute-force reference computations, entirely in the power-sum basis.
 
 This module exists to cross-check the main path and is allowed to be slow.
-It shares only Partition, the Murnaghan-Nakayama recursion _character_rec
-and z_of with the rest of the package; products and plethysms are
-reimplemented here from the defining formulas, and the basis change between
-Schur functions and power sums lives only here, so a bug in tableau
-enumeration or the abacus machinery cannot hide.
-A shared character bug would still be caught by the orthogonality sweep in
-the test suite.
+It shares Partition, z_of and the beta-set helpers with the rest of the
+package; products, plethysms and the Schur <-> power-sum basis change are
+written here from the defining formulas, so a tableau or quotient-walk bug
+cannot hide.  Its character tables grow from smaller ones on the smallest
+part of rho and the main path's characters recurse on the largest, so the
+plethysm sweep catches a character bug in either; one in the shared
+helpers breaks the orthogonality tests.
 
 The basis change is the character table (Macdonald, I.7): s_mu is the sum
 over rho of chi^mu(rho) p_rho / z_rho, and the coefficient of s_lam in
@@ -27,25 +27,46 @@ from math import factorial
 from operator import mul
 
 from .partitions import Partition, all_partitions
-from .schur import NonIntegralResultError, SchurExpansion, _character_rec, z_of
+from .quotients import _beads_between, _beta_set, _partition_from_beta
+from .schur import NonIntegralResultError, SchurExpansion, z_of
 
 _PVec = dict[tuple[int, ...], int]  # power-sum coefficients keyed by rho's parts
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32)  # >= 16: _table(15), verify's top, reads every lower degree
 def _table(n: int):
     """The character table of S_n as (partitions, index, rows, class_sizes):
     all partitions of n, which order both rows and columns; the position of
     each by its parts; rows[i][j] = chi^partitions[i](partitions[j]) as ints;
-    and n!/z_rho for each column rho.  One memo serves the whole table."""
+    and n!/z_rho for each column rho.  Column rho is one Murnaghan-Nakayama
+    step on its smallest part k (the rule holds for any order of the parts,
+    Macdonald I.7 Ex. 5), read off column rho - k of _table(n - k); each
+    row's k-strips are found once per k."""
     parts = all_partitions(n)
-    memo: dict = {}
-    rows = tuple(
-        tuple(_character_rec(lam.parts, rho.parts, memo) for rho in parts)
-        for lam in parts
-    )
     index = {p.parts: i for i, p in enumerate(parts)}
-    return parts, index, rows, tuple(factorial(n) // z_of(rho) for rho in parts)
+    sizes = tuple(factorial(n) // z_of(rho) for rho in parts)
+    if not n:
+        return parts, index, ((1,),), sizes
+    columns, strips = [], {}  # k -> per row, its k-strips as (sub row, sign)
+    for rho in parts:
+        k = rho.parts[-1]
+        _, sub_index, sub_rows, _ = _table(n - k)
+        if k not in strips:
+            strips[k] = [_strips(lam.parts, k, sub_index) for lam in parts]
+        j = sub_index[rho.parts[:-1]]
+        columns.append([sum(sub_rows[i][j] * s for i, s in row) for row in strips[k]])
+    return parts, index, tuple(zip(*columns)), sizes
+
+
+def _strips(lam: tuple[int, ...], k: int, index: dict) -> list[tuple[int, int]]:
+    # each bead move b -> b-k removes a k-strip of height the beads jumped
+    beta = _beta_set(lam, len(lam))
+    occupied = set(beta)
+    return [
+        (index[_partition_from_beta((occupied - {b}) | {b - k})],
+         -1 if _beads_between(beta, b - k, b) % 2 else 1)
+        for b in beta if b >= k and b - k not in occupied
+    ]
 
 
 def _schur_in_p(mu: Partition) -> _PVec:

@@ -12,7 +12,8 @@ are a named type instead of bare tuples.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index, lt
+from itertools import accumulate
+from operator import gt, index, lt
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -99,9 +100,9 @@ class Partition:
 
     def contains(self, inner: "Partition") -> bool:
         """Diagram containment: every row of ``inner`` fits inside this one."""
-        if len(inner) > len(self._parts):
-            return False
-        return all(inner[i] <= self._parts[i] for i in range(len(inner)))
+        return len(inner) <= len(self._parts) and not any(
+            map(gt, inner._parts, self._parts)
+        )
 
     def union(self, other: "Partition") -> "Partition":
         """Multiset merge of the parts, re-sorted."""
@@ -119,13 +120,9 @@ class Partition:
             raise ValueError(
                 f"dominance compares partitions of equal size, got {self._size} and {other.size}"
             )
-        a = b = 0
-        for i in range(max(len(self._parts), len(other))):
-            a += self[i]
-            b += other[i]
-            if a < b:
-                return False
-        return True
+        # map stops at the shorter partition; past it, its prefix sums stay at
+        # the common size, so any deficit there shows at its last row already
+        return not any(map(lt, accumulate(self._parts), accumulate(other._parts)))
 
 
 def outer_corners(lam: Partition) -> frozenset[Point]:

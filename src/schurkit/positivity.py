@@ -157,8 +157,8 @@ def enumerate_candidates(n: int, lam: Partition) -> list[Partition]:
     """
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
-    if n == 1:  # p_1 o s_lam = s_lam, and lam is the only mu of its size >= lam
-        return [lam]
+    if n == 1 or not lam:  # p_1 o s_lam = s_lam, p_n o s_() = s_(), and lam
+        return [lam]  # is the only mu of its size that contains lam
     c = lam.size + 1  # the walk's beads per runner
     need = [p + n * c - 1 - k for k, p in enumerate(lam)]
     out = []

@@ -142,12 +142,19 @@ def reconstruct(n: int, core: Partition, quotient: Sequence[Partition]) -> Parti
     return Partition(_partition_from_beta(beads))
 
 
+# a frame per runner, well inside the recursion limit; n = 256 takes ~1 s on (1)
+MAX_WALK_N = 256
+
+
 def _quotient_walk(n: int, total: int, outer: Sequence[int]) -> Iterator:
     """Every n-quotient of size ``total`` whose components fit inside
     ``outer``, as part tuples, with the unsorted beads of the partition it
     gives with the empty core.  Every runner holds c = len(outer) + 1 beads,
     more than any component has parts, so a component's positions on
-    runner i do not depend on the others: one table per call holds them."""
+    runner i do not depend on the others: one table per call holds them.
+    An n over MAX_WALK_N raises ValueError before the walk starts."""
+    if n > MAX_WALK_N:
+        raise ValueError(f"n = {n} is over the quotient walk's bound of {MAX_WALK_N}")
     c = len(outer) + 1
     shapes = [()]
     for r, cap in enumerate(outer):  # grow every shape of r rows by a row

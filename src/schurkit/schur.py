@@ -312,7 +312,7 @@ def sxp_plethysm(n: int, lam: Partition) -> SchurExpansion:
     """
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
-    if n == 1:
+    if n == 1 or not lam:  # p_1 o s_lam = s_lam, and p_n o s_() = s_()
         return SchurExpansion(lam.size, {lam: 1})
     terms, coeffs = {}, {}
     for tup, beads in _quotient_walk(n, lam.size, lam.parts):

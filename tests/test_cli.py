@@ -132,6 +132,37 @@ class TestExpand:
         assert r.stderr.startswith("error: ")
         assert r.stderr.count("\n") == 1 and "usage:" not in r.stderr
 
+    @pytest.mark.parametrize("command, extra, output", [
+        ("expand", [], '{"degree":0,"terms":[{"partition":[],"coeff":"1"}]}'),
+        ("filter", ["--candidates"],
+         '{"xi1":[],"xi2":[],"intersection":[],"candidates":[[]]}'),
+    ], ids=["expand", "filter"])
+    def test_sxp_of_empty_lambda_any_n(self, command, extra, output):
+        # p_n o s_() = s_(): the same bytes for every n, at once
+        for n in (1, 2, 3, 4, 5, 6, 1000000):
+            started = time.perf_counter()
+            code, out, err = run_in_process([command, "sxp", "-n", str(n), "-l", "", *extra])
+            assert time.perf_counter() - started < 0.1
+            assert (code, err) == (0, "")
+            assert strip_elapsed(out) == (
+                f'{{"command":"{command}","inputs":{{"kind":"sxp","n":{n},"lam":[]}},'
+                f'"output":{output},"elapsed_ms": 0}}\n'
+            )
+
+    @pytest.mark.parametrize("command", [
+        ["expand", "sxp", "-l", "1"],
+        ["filter", "sxp", "-l", "1", "--candidates"],
+    ], ids=["expand", "filter"])
+    def test_sxp_past_walk_bound_exit_2(self, command):
+        from schurkit.quotients import MAX_WALK_N
+
+        for n in (MAX_WALK_N + 1, 1500):
+            started = time.perf_counter()
+            code, out, err = run_in_process([*command, "-n", str(n)])
+            assert time.perf_counter() - started < 0.1
+            assert (code, out) == (2, "")
+            assert err == f"error: n = {n} is over the quotient walk's bound of {MAX_WALK_N}\n"
+
     def test_internal_error_exit_1(self, monkeypatch, capsys):
         import schurkit.cli
         import schurkit.schur

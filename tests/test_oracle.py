@@ -118,6 +118,15 @@ class TestCharacterTable:
                     dot = sum(a * b for a, b in zip(columns[j], columns[k]))
                     assert dot == (z_of(rho) if j == k else 0), (n, rho, parts[k])
 
+    def test_cold_table_builds_each_degree_once(self):
+        # _table(15) reads every lower degree, each built once and kept: the
+        # cache holds all 16 degrees verify's budget admits
+        _table.cache_clear()
+        _table(15)
+        info = _table.cache_info()
+        assert info.misses == 16
+        assert info.maxsize >= 16
+
     def test_one_table_per_degree(self):
         _table.cache_clear()
         assert check_products(6).ok

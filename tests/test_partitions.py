@@ -37,6 +37,26 @@ def _hook_count(lam, weights, r, c):
     return divmod(total, factorial(lam.size))
 
 
+def _contains_loop(outer, inner):
+    """Containment by per-index loop: the reference Partition.contains is
+    checked against."""
+    if len(inner) > len(outer):
+        return False
+    return all(inner[i] <= outer[i] for i in range(len(inner)))
+
+
+def _dominates_loop(a, b):
+    """Dominance by running prefix sums over the longer length: the reference
+    Partition.dominates is checked against (equal sizes only)."""
+    x = y = 0
+    for i in range(max(len(a), len(b))):
+        x += a[i]
+        y += b[i]
+        if x < y:
+            return False
+    return True
+
+
 class TestConstruction:
     def test_strips_trailing_zeros(self):
         assert P([3, 2, 0, 0]) == P([3, 2])
@@ -88,6 +108,13 @@ class TestContains:
                     if lam.contains(mu) and mu.contains(lam):
                         assert lam == mu
 
+    def test_matches_index_loop(self):
+        # every pair of size <= 8, sizes mixed: the empty partition, unequal
+        # lengths and inner longer than outer all occur
+        parts = [lam for n in range(9) for lam in all_partitions(n)]
+        for outer, inner in itertools.product(parts, parts):
+            assert outer.contains(inner) == _contains_loop(outer, inner), (outer, inner)
+
 
 class TestConjugate:
     def test_small(self):
@@ -134,6 +161,18 @@ class TestDominance:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             P([2]).dominates(P([2, 1]))
+        parts = [lam for n in range(5) for lam in all_partitions(n)]
+        for a, b in itertools.product(parts, parts):
+            if a.size != b.size:
+                with pytest.raises(ValueError, match="equal size"):
+                    a.dominates(b)
+
+    def test_matches_prefix_sum_loop(self):
+        # every pair of equal size <= 10, the empty partition included
+        for n in range(11):
+            parts = all_partitions(n)
+            for a, b in itertools.product(parts, parts):
+                assert a.dominates(b) == _dominates_loop(a, b), (a, b)
 
     def test_is_partial_order(self):
         parts = all_partitions(6)

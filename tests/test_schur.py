@@ -22,6 +22,7 @@ from schurkit import (
     z_of,
 )
 from schurkit.oracle import _p_to_schur, _schur_in_p, _table
+from schurkit.quotients import MAX_WALK_N
 from schurkit.schur import (
     _lr_walk,
     _pair_product,
@@ -314,13 +315,14 @@ class TestCharacter:
                 assert total == (1 if mu == nu else 0)
 
     def test_table_memo_agrees_with_fresh(self):
-        # the oracle's table shares one memo across all its rows; each
-        # character call starts from an empty one
-        for n in range(7):
+        # two derivations of Murnaghan-Nakayama: the oracle grows each table
+        # from smaller ones on rho's smallest part, and character recurses on
+        # its largest part from an empty memo
+        for n in range(12):
             parts, index, rows, _ = _table(n)
             for mu in parts:
                 row = rows[index[mu.parts]]
-                assert row == tuple(character(mu, rho) for rho in parts)
+                assert row == tuple(character(mu, rho) for rho in parts), (n, mu)
 
 
 class TestZ:
@@ -373,6 +375,13 @@ class TestSxpPlethysm:
         for size in range(11):
             for lam in all_partitions(size):
                 assert sxp_plethysm(1, lam) == single(lam)
+
+    def test_walk_bound_is_reachable(self):
+        # at n = MAX_WALK_N the walk still runs, under the test runner's own
+        # stack: p_n o s_1 = p_n is the sum of (-1)^b s_(n-b, 1^b)
+        n = MAX_WALK_N
+        hooks = {P([n - b] + [1] * b): (-1) ** b for b in range(n)}
+        assert sxp_plethysm(n, P([1])) == SchurExpansion(n, hooks)
 
     def test_p2_on_single_box(self):
         assert sxp_plethysm(2, P([1])) == SchurExpansion(
