@@ -109,8 +109,8 @@ def _p_to_schur(degree: int, pterms: _PVec, scale: int) -> SchurExpansion:
                 raise NonIntegralResultError(
                     f"oracle coefficient of s_{list(lam.parts)} is {val}/{scale}"
                 )
-            terms[lam] = coeff
-    return SchurExpansion(degree, terms)
+            terms[lam.parts] = coeff
+    return SchurExpansion._from_parts(degree, terms)
 
 
 def oracle_product(mu: Partition, nu: Partition) -> SchurExpansion:

@@ -90,13 +90,10 @@ class Partition:
         return list(self._parts)
 
     def conjugate(self) -> "Partition":
-        """Transpose the diagram: column lengths become row lengths."""
-        if not self._parts:
-            return Partition()
-        width = self._parts[0]
-        return Partition(
-            sum(1 for p in self._parts if p >= c) for c in range(1, width + 1)
-        )
+        """Transpose the diagram: column lengths become row lengths.  Column c
+        has length h for self[h] < c <= self[h - 1], one pass over the rows."""
+        heights = range(len(self._parts), 0, -1)
+        return Partition(h for h in heights for _ in range(self[h - 1] - self[h]))
 
     def contains(self, inner: "Partition") -> bool:
         """Diagram containment: every row of ``inner`` fits inside this one."""

@@ -1,10 +1,11 @@
 """Sparse exact arithmetic in the Schur basis.
 
-Expansions are immutable maps from Partition to an int coefficient, always
-homogeneous and zero-free; no floats anywhere.  Internal arithmetic runs on
-dicts keyed by part tuples without trailing zeros, so equal partitions hash
-equal; Partitions are built only for the SchurExpansion a public function
-returns.  Plethysm weights are ints scaled by |mu|!, divided out once each.
+Expansions are immutable maps from partitions to int coefficients, always
+homogeneous and zero-free; no floats anywhere.  Terms stay on dicts keyed by
+part tuples without trailing zeros from the kernel to the JSON bytes: an
+expansion holds the kernel's own dict, and Partitions are built only when a
+caller reads its ``terms``, ``support()`` or ``sorted_terms()``.  Plethysm
+weights are ints scaled by |mu|!, divided out once each.
 
 Littlewood-Richardson coefficients come from one walk that grows LR
 tableaux strip by strip: each row of the content is added as a horizontal
@@ -38,13 +39,16 @@ class NonIntegralResultError(ArithmeticError):
 
 
 class SchurExpansion:
-    """Homogeneous integer combination of Schur functions, stored sparsely."""
+    """Homogeneous integer combination of Schur functions, stored sparsely on
+    part tuples; the Partition-keyed ``terms`` is built when first read."""
 
-    __slots__ = ("_degree", "_terms")
+    __slots__ = ("_degree", "_parts", "_terms")
 
     def __init__(self, degree: int, terms: Mapping[Partition, int]):
         clean = {}
         for lam, coeff in terms.items():
+            if not isinstance(lam, Partition):
+                raise TypeError(f"Schur term keys must be Partition, got {type(lam)}")
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise TypeError(f"Schur coefficients must be int, got {type(coeff)}")
             if coeff == 0:
@@ -53,14 +57,21 @@ class SchurExpansion:
                 raise ValueError(
                     f"term {lam!r} has size {lam.size}, expected degree {degree}"
                 )
-            clean[lam] = coeff
-        self._degree = degree
-        self._terms = MappingProxyType(clean)
+            clean[lam.parts] = coeff
+        self._degree, self._parts, self._terms = degree, clean, None
+
+    @classmethod
+    def _from_parts(cls, degree: int, parts: dict[tuple, int]) -> "SchurExpansion":
+        """The boundary: the kernel's own zero-free dict of degree-sized part
+        tuples, taken as it is, with no per-term work."""
+        self = object.__new__(cls)
+        self._degree, self._parts, self._terms = degree, parts, None
+        return self
 
     @classmethod
     def unit(cls) -> "SchurExpansion":
         """The multiplicative identity s_() with coefficient 1."""
-        return cls(0, {Partition(): 1})
+        return cls._from_parts(0, {(): 1})
 
     @property
     def degree(self) -> int:
@@ -68,26 +79,30 @@ class SchurExpansion:
 
     @property
     def terms(self) -> Mapping[Partition, int]:
+        if self._terms is None:
+            self._terms = MappingProxyType(
+                {Partition(lam): c for lam, c in self._parts.items()}
+            )
         return self._terms
 
     def coefficient(self, lam: Partition) -> int:
-        return self._terms.get(lam, 0)
+        return self._parts.get(lam.parts, 0)
 
     def support(self) -> frozenset[Partition]:
-        return frozenset(self._terms)
+        return frozenset(self.terms)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._parts)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SchurExpansion)
             and self._degree == other._degree
-            and self._terms == other._terms  # mappingproxy compares its dicts
+            and self._parts == other._parts
         )
 
     def __hash__(self) -> int:
-        return hash((self._degree, frozenset(self._terms.items())))
+        return hash((self._degree, frozenset(self._parts.items())))
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*s{list(p.parts)}" for p, c in self.sorted_terms())
@@ -96,14 +111,16 @@ class SchurExpansion:
     def sorted_terms(self) -> list[tuple[Partition, int]]:
         """Terms in descending lexicographic order of the index partition,
         the canonical order for serialisation."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].parts, reverse=True)
+        # keys are distinct, so the item sort never compares coefficients
+        items = sorted(self._parts.items(), reverse=True)
+        return [(Partition(lam), c) for lam, c in items]
 
     def to_json_obj(self) -> dict:
         return {
             "degree": self._degree,
             "terms": [
-                {"partition": p.to_list(), "coeff": str(c)}
-                for p, c in self.sorted_terms()
+                {"partition": list(lam), "coeff": str(c)}
+                for lam, c in sorted(self._parts.items(), reverse=True)
             ],
         }
 
@@ -212,18 +229,10 @@ def _product(f: Mapping[tuple, int], g: Mapping[tuple, int]) -> dict[tuple, int]
     return {lam: c for lam, c in acc.items() if c}
 
 
-def _tuples(f: SchurExpansion) -> dict[tuple, int]:
-    return {lam.parts: c for lam, c in f.terms.items()}
-
-
-def _wrap(degree: int, terms: Mapping[tuple, int]) -> SchurExpansion:
-    """The boundary: part-tuple terms become the expansion a caller sees."""
-    return SchurExpansion(degree, {Partition(lam): c for lam, c in terms.items()})
-
-
 def schur_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
     """Bilinear extension of the Littlewood-Richardson rule, folded on part tuples."""
-    return _wrap(f.degree + g.degree, _product(_tuples(f), _tuples(g)))
+    terms = _product(f._parts, g._parts)
+    return SchurExpansion._from_parts(f.degree + g.degree, terms)
 
 
 def multi_schur_product(mus: Iterable[Partition]) -> SchurExpansion:
@@ -232,7 +241,7 @@ def multi_schur_product(mus: Iterable[Partition]) -> SchurExpansion:
     for f in mus:  # while degree is 0, out is the unit
         out = _product(out, {f.parts: 1}) if degree else {f.parts: 1}
         degree += f.size
-    return _wrap(degree, out)
+    return SchurExpansion._from_parts(degree, out)
 
 
 def z_of(rho: Partition) -> int:
@@ -313,7 +322,7 @@ def sxp_plethysm(n: int, lam: Partition) -> SchurExpansion:
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
     if n == 1 or not lam:  # p_1 o s_lam = s_lam, and p_n o s_() = s_()
-        return SchurExpansion(lam.size, {lam: 1})
+        return SchurExpansion._from_parts(lam.size, {lam.parts: 1})
     terms, coeffs = {}, {}
     for tup, beads in _quotient_walk(n, lam.size, lam.parts):
         factors = tuple(sorted(tup))  # the pairing ignores the factor order
@@ -321,17 +330,17 @@ def sxp_plethysm(n: int, lam: Partition) -> SchurExpansion:
             coeffs[factors] = _product_coefficient(lam.parts, factors)
         if coeffs[factors]:
             beads.sort(reverse=True)
-            mu = Partition(_partition_from_beta(beads))
+            mu = _partition_from_beta(beads)
             terms[mu] = coeffs[factors] * _abacus_sign(beads, n)
-    return SchurExpansion(n * lam.size, terms)
+    return SchurExpansion._from_parts(n * lam.size, terms)
 
 
 @lru_cache(maxsize=1024)
 def _power_plethysm(rho: tuple[int, ...], nu: tuple[int, ...]) -> Mapping[tuple, int]:
     """p_rho o s_nu on part tuples, as a product of sxp pieces."""
-    out = {(): 1}
+    out, lam = {(): 1}, Partition(nu)
     for k in rho:
-        out = _product(out, _tuples(sxp_plethysm(k, Partition(nu))))
+        out = _product(out, sxp_plethysm(k, lam)._parts)
     return MappingProxyType(out)
 
 
@@ -364,4 +373,4 @@ def schur_plethysm(mu: Partition, nu: Partition) -> SchurExpansion:
             )
         if coeff:
             terms[lam] = coeff
-    return _wrap(m * nu.size, terms)
+    return SchurExpansion._from_parts(m * nu.size, terms)

@@ -131,6 +131,21 @@ class TestConjugate:
             for lam in all_partitions(n):
                 assert lam.conjugate().conjugate() == lam
 
+    def test_matches_counting_definition(self):
+        # column c has as many cells as there are parts >= c
+        for n in range(13):
+            for lam in all_partitions(n):
+                width = lam[0]
+                counts = [sum(1 for p in lam if p >= c) for c in range(1, width + 1)]
+                assert lam.conjugate() == P(counts), lam
+
+    def test_size_row_bound_is_self_conjugate(self):
+        # (n, n//2, n//3, ...) has n//c parts >= c; at this width a
+        # length x width conjugate would take minutes
+        n = 50_000
+        caps = P([n // r for r in range(1, n + 1)])
+        assert caps.conjugate() == caps
+
 
 class TestSumUnion:
     def test_extreme_terms(self):

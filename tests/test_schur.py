@@ -288,6 +288,30 @@ class TestExpansionTypes:
         obj = single(P([2, 1])).to_json_obj()
         assert obj == {"degree": 3, "terms": [{"partition": [2, 1], "coeff": "1"}]}
 
+    def test_rejects_non_partition_keys(self):
+        for key in ((2,), [2], "2"):
+            with pytest.raises(TypeError, match=type(key).__name__):
+                SchurExpansion(2, {key: 1})
+
+    def test_coefficient_outside_support_is_zero(self):
+        e = sxp_plethysm(2, P([2, 1]))
+        for lam in all_partitions(6):
+            if lam not in e.terms:
+                assert e.coefficient(lam) == 0
+        assert e.coefficient(P([7])) == 0  # wrong degree
+        assert SchurExpansion(0, {}).coefficient(P()) == 0
+
+    def test_json_keeps_sorted_terms_order(self):
+        for e in (
+            sxp_plethysm(3, P([2, 1])),
+            schur_product(single(P([3, 1])), single(P([2, 2]))),
+            SchurExpansion(3, {P([1, 1, 1]): 2, P([3]): -1, P([2, 1]): 5}),
+        ):
+            assert e.to_json_obj()["terms"] == [
+                {"partition": lam.to_list(), "coeff": str(c)}
+                for lam, c in e.sorted_terms()
+            ]
+
 
 class TestCharacter:
     def test_trivial_character(self):
@@ -569,8 +593,9 @@ class TestSchurPlethysmPastOracle:
 
 
 class TestBoundary:
-    """Results that leave the module are keyed by Partition; the kernel's own
-    term dicts by part tuples without trailing zeros."""
+    """Expansions keep their terms on part tuples without trailing zeros, the
+    kernel's own dicts; a Partition-keyed view is built when a caller reads
+    ``terms``, ``support()`` or ``sorted_terms()``."""
 
     def test_public_results_have_partition_keys(self):
         results = [
@@ -594,6 +619,9 @@ class TestBoundary:
             lambda: _power_plethysm((2, 1), (2, 1)),
             lambda: _power_plethysm((3,), (1, 1)),
             lambda: _power_plethysm((), (2,)),
+            # an expansion's own terms, as the sxp lru cache holds them
+            lambda: sxp_plethysm(3, P([2, 1]))._parts,
+            lambda: sxp_plethysm(2, P([3, 1, 1]))._parts,
         ],
     )
     def test_kernel_keys_are_canonical_tuples(self, terms):
@@ -603,3 +631,21 @@ class TestBoundary:
             assert type(lam) is tuple
             assert all(type(x) is int and x > 0 for x in lam)
             assert list(lam) == sorted(lam, reverse=True)
+
+    def test_kernel_and_public_constructor_agree(self):
+        s1 = single(P([1]))
+        kernel = schur_product(s1, s1)
+        public = SchurExpansion(2, {P([2]): 1, P([1, 1]): 1})
+        assert kernel == public and public == kernel
+        assert hash(kernel) == hash(public)
+        assert kernel.terms == public.terms
+        assert kernel != SchurExpansion(2, {P([2]): 1, P([1, 1]): -1})
+        # hashes like its Partition-keyed terms, since hash(Partition) is hash(parts)
+        assert hash(public) == hash((2, frozenset(public.terms.items())))
+
+    def test_terms_is_built_once(self):
+        e = schur_product(single(P([2, 1])), single(P([1])))
+        first = e.terms
+        assert e.terms is first
+        assert dict(first) == {P([3, 1]): 1, P([2, 2]): 1, P([2, 1, 1]): 1}
+        assert e.support() == frozenset(first)
