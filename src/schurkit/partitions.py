@@ -54,6 +54,13 @@ class Partition:
         self._parts = ps
         self._size = sum(ps)
 
+    @classmethod
+    def _from_parts(cls, parts: tuple[int, ...]) -> "Partition":
+        """The partition of a weakly decreasing positive tuple, unchecked."""
+        self = object.__new__(cls)
+        self._parts, self._size = parts, sum(parts)
+        return self
+
     @property
     def parts(self) -> tuple[int, ...]:
         return self._parts
@@ -97,9 +104,7 @@ class Partition:
 
     def contains(self, inner: "Partition") -> bool:
         """Diagram containment: every row of ``inner`` fits inside this one."""
-        return len(inner) <= len(self._parts) and not any(
-            map(gt, inner._parts, self._parts)
-        )
+        return _contains(self._parts, inner._parts)
 
     def union(self, other: "Partition") -> "Partition":
         """Multiset merge of the parts, re-sorted."""
@@ -120,6 +125,11 @@ class Partition:
         # map stops at the shorter partition; past it, its prefix sums stay at
         # the common size, so any deficit there shows at its last row already
         return not any(map(lt, accumulate(self._parts), accumulate(other._parts)))
+
+
+def _contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
+    """Diagram containment on part tuples: every row of inner fits in outer."""
+    return len(inner) <= len(outer) and not any(map(gt, inner, outer))
 
 
 def outer_corners(lam: Partition) -> frozenset[Point]:
@@ -172,20 +182,20 @@ def ideal_complement(generators: Iterable[Point]) -> Partition:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n in descending lexicographic order."""
+    """All partitions of n in descending lexicographic order.  Each next one
+    lowers the last part above 1 by one and refills the rest greedily."""
     if n < 0:
         return
-
-    def rec(remaining: int, cap: int, prefix: list[int]):
-        if remaining == 0:
-            yield Partition(prefix)
+    parts = [n] if n else []
+    while True:
+        yield Partition._from_parts(tuple(parts))
+        ones = parts.count(1)  # parts fall, so the 1s are the tail
+        del parts[len(parts) - ones:]
+        if not parts:
             return
-        for first in range(min(cap, remaining), 0, -1):
-            prefix.append(first)
-            yield from rec(remaining - first, first, prefix)
-            prefix.pop()
-
-    yield from rec(n, n, [])
+        cap = parts[-1] = parts[-1] - 1
+        q, r = divmod(ones + 1, cap)
+        parts += [cap] * q + ([r] if r else [])
 
 
 @lru_cache(maxsize=64)

@@ -9,13 +9,12 @@ candidate that passes may still have coefficient zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ge
+from operator import add, ge
 from typing import Sequence
 
 from .partitions import (
     Partition,
     Point,
-    ideal_complement,
     minkowski_sum,
     outer_corners,
 )
@@ -54,10 +53,16 @@ def lr_bound(mus: Sequence[Partition]) -> Partition:
 
     The corner sum of the factors generates an ideal whose complement
     contains the diagram of every partition in supp(s_{mu_0} * s_{mu_1} *
-    ...).  Each corner set has a point on each axis, so the complement is
-    always a finite partition.
+    ...).  Since parts only fall, its row r is the min-plus convolution
+    min over i + j = r of mu_i + nu_j (zero-padded), folded over the factors.
     """
-    return ideal_complement(corner_sum(mus))
+    if not mus:
+        raise ValueError("lr_bound requires at least one factor")
+    rows = mus[0].parts
+    for mu in mus[1:]:
+        a, b = rows + (0,) * len(mu), mu.parts + (0,) * len(rows)
+        rows = tuple(min(map(add, a[: r + 1], b[r::-1])) for r in range(len(a)))
+    return Partition(rows)
 
 
 def sxp_lower_check(lam: Partition, mu: Partition) -> bool:

@@ -111,15 +111,28 @@ def _abacus_sign(beta: Sequence[int], n: int) -> int:
     beta-set down.  The beads end at keys rank * n + runner (rank counted from
     the bottom of the runner), which fill 0 .. m-1.  A move over h beads is h
     transpositions of the bead order and never passes a bead on its own
-    runner, so the height has the parity of the inversions between the
-    beads' positions and their keys."""
+    runner, so the height has the parity of the permutation from the beads'
+    positions to their keys: m minus its number of cycles."""
     rank = [0] * n
     keys = []
     for b in reversed(beta):  # ascending positions
         keys.append(rank[b % n] * n + b % n)
         rank[b % n] += 1
-    inversions = sum(1 for i, k in enumerate(keys) for j in keys[:i] if j > k)
-    return -1 if inversions % 2 else 1
+    swaps = len(keys)
+    for i in range(len(keys)):
+        swaps -= keys[i] >= 0  # a cycle not yet walked; walking marks it -1
+        j = i
+        while keys[j] >= 0:
+            keys[j], j = -1, keys[j]
+    return -1 if swaps % 2 else 1
+
+
+def _has_empty_core(mu: tuple[int, ...], n: int) -> bool:
+    """Whether mu has empty n-core, on part tuples: padded to m beads with n
+    dividing m, every runner holds m/n of them."""
+    m = _padded_length(len(mu), n)
+    runners = [b % n for b in _beta_set(mu, m)]
+    return all(runners.count(i) == m // n for i in range(n))
 
 
 def reconstruct(n: int, core: Partition, quotient: Sequence[Partition]) -> Partition:

@@ -17,7 +17,7 @@ each other (see the oracle module).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
@@ -246,10 +246,13 @@ def multi_schur_product(mus: Iterable[Partition]) -> SchurExpansion:
 
 def z_of(rho: Partition) -> int:
     """Centraliser order of the conjugacy class of cycle type rho:
-    product over part values i of i^m_i * m_i!."""
-    z = 1
-    for part, mult in Counter(rho.parts).items():
-        z *= part**mult * factorial(mult)
+    product over part values i of i^m_i * m_i!, read off the runs of equal
+    parts as i * k for the k-th part of each run."""
+    z, run, last = 1, 0, 0
+    for part in rho.parts:
+        run = run + 1 if part == last else 1
+        last = part
+        z *= part * run
     return z
 
 
@@ -344,6 +347,19 @@ def _power_plethysm(rho: tuple[int, ...], nu: tuple[int, ...]) -> Mapping[tuple,
     return MappingProxyType(out)
 
 
+@lru_cache(maxsize=256)
+def _plethysm_weights(mu: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
+    """(rho, chi^mu(rho) * m!/z_rho) for each rho of m = |mu| with a nonzero
+    character, computed once per mu however many nu it is composed with."""
+    m = sum(mu)
+    scale, memo, out = factorial(m), {}, []
+    for rho in all_partitions(m):
+        chi = _character_rec(mu, rho.parts, memo)
+        if chi:
+            out.append((rho.parts, chi * (scale // z_of(rho))))
+    return tuple(out)
+
+
 def schur_plethysm(mu: Partition, nu: Partition) -> SchurExpansion:
     """Plethysm s_mu o s_nu, assembled on part tuples as
     sum over rho of chi^mu(rho)/z_rho * (p_rho o s_nu).
@@ -355,14 +371,9 @@ def schur_plethysm(mu: Partition, nu: Partition) -> SchurExpansion:
     """
     m = mu.size
     scale = factorial(m)
-    memo: dict = {}
     acc: dict[tuple[int, ...], int] = defaultdict(int)
-    for rho in all_partitions(m):
-        chi = _character_rec(mu.parts, rho.parts, memo)
-        if chi == 0:
-            continue
-        weight = chi * (scale // z_of(rho))
-        for lam, c in _power_plethysm(rho.parts, nu.parts).items():
+    for rho, weight in _plethysm_weights(mu.parts):
+        for lam, c in _power_plethysm(rho, nu.parts).items():
             acc[lam] += weight * c
     terms = {}
     for lam, val in acc.items():

@@ -9,17 +9,13 @@ these; a sweep stops at the first counterexample and reports it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import lt
 
 from .oracle import oracle_plethysm, oracle_power_plethysm, oracle_product
-from .partitions import Partition, all_partitions
-from .positivity import (
-    lr_bound,
-    plethysm_filter_check,
-    sxp_lower_check,
-    sxp_upper_bound,
-    trivial_sign_multiplicity,
-)
-from .quotients import decompose
+from .partitions import Partition, _contains, all_partitions
+from .positivity import lr_bound, sxp_upper_bound, trivial_sign_multiplicity
+from .quotients import _has_empty_core
 from .schur import SchurExpansion, multi_schur_product, schur_plethysm, sxp_plethysm
 
 SXP_MAX_N = 3
@@ -73,13 +69,18 @@ def check_products(max_degree: int) -> SweepReport:
 def _product_support_violation(
     mu: Partition, nu: Partition, product: SchurExpansion
 ) -> dict | None:
-    bound = lr_bound([mu, nu])
-    top, bottom = mu + nu, mu.union(nu)
-    for lam in product.support():
-        if not top.dominates(lam) or not lam.dominates(bottom):
-            return {"kind": "dominance bound violated", "lam": lam.to_list()}
-        if not bound.contains(lam):
-            return {"kind": "minkowski bound violated", "lam": lam.to_list()}
+    # dominance on prefix sums, as Partition.dominates reads them
+    top = list(accumulate((mu + nu).parts))
+    bottom = list(accumulate(mu.union(nu).parts))
+    bound = lr_bound([mu, nu]).parts
+    # built item by item, the set walks the terms in support()'s order, so of
+    # several violating terms the one named is the one support() meets first
+    for lam in frozenset(iter(product._parts)):
+        sums = list(accumulate(lam))
+        if any(map(lt, top, sums)) or any(map(lt, sums, bottom)):
+            return {"kind": "dominance bound violated", "lam": list(lam)}
+        if not _contains(bound, lam):
+            return {"kind": "minkowski bound violated", "lam": list(lam)}
     return None
 
 
@@ -106,14 +107,14 @@ def check_sxp(max_degree: int) -> SweepReport:
 def _sxp_support_violation(
     n: int, lam: Partition, expansion: SchurExpansion
 ) -> dict | None:
-    upper = sxp_upper_bound(n, lam).intersection
-    for mu in expansion.support():
-        if not sxp_lower_check(lam, mu):
-            return {"kind": "lower bound violated", "mu": mu.to_list()}
-        if not upper.contains(mu):
-            return {"kind": "upper bound violated", "mu": mu.to_list()}
-        if decompose(mu, n).core:
-            return {"kind": "support has non-empty core", "mu": mu.to_list()}
+    upper = sxp_upper_bound(n, lam).intersection.parts
+    for mu in frozenset(iter(expansion._parts)):  # support()'s order
+        if not _contains(mu, lam.parts):
+            return {"kind": "lower bound violated", "mu": list(mu)}
+        if not _contains(upper, mu):
+            return {"kind": "upper bound violated", "mu": list(mu)}
+        if not _has_empty_core(mu, n):
+            return {"kind": "support has non-empty core", "mu": list(mu)}
     return None
 
 
@@ -158,13 +159,12 @@ def _plethysm_support_violation(
     # the containment guarantee concerns compositions with a genuine outer
     # factor; s_() o s_nu is the constant 1 and says nothing about nu
     if mu:
-        for lam in expansion.support():
-            if not plethysm_filter_check(nu, lam):
-                return {"kind": "containment filter violated", "lam": lam.to_list()}
+        for lam in frozenset(iter(expansion._parts)):  # support()'s order
+            if not _contains(lam, nu.parts):
+                return {"kind": "containment filter violated", "lam": list(lam)}
     degree = mu.size * nu.size
-    row = Partition([degree]) if degree else Partition()
-    column = Partition([1] * degree)
-    expected = (expansion.coefficient(row), expansion.coefficient(column))
+    row = (degree,) if degree else ()
+    expected = (expansion._parts.get(row, 0), expansion._parts.get((1,) * degree, 0))
     if trivial_sign_multiplicity(mu, nu) != expected:
         return {
             "kind": "trivial/sign closed form mismatch",
@@ -178,7 +178,7 @@ def containment_counts(mu: Partition, nu: Partition) -> tuple[int, int]:
     """(number of partitions of |mu||nu|, how many pass the containment filter;
     s_() o s_nu = 1 passes, as in _plethysm_support_violation)."""
     candidates = all_partitions(mu.size * nu.size)
-    passing = sum(1 for lam in candidates if not mu or plethysm_filter_check(nu, lam))
+    passing = sum(1 for lam in candidates if not mu or _contains(lam.parts, nu.parts))
     return (len(candidates), passing)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from schurkit.partitions import all_partitions
+from schurkit.partitions import Partition, all_partitions
 from schurkit.verification import ORACLE_TABLE_BUDGET, run_scope
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -346,6 +346,102 @@ class TestVerify:
         out = payload(r)
         assert out["status"] == "pass"
         assert [c["scope"] for c in out["checks"]] == ["lr", "sxp", "plethysm"]
+
+
+def _inject(monkeypatch, scope, case, bad):
+    """Make the fast path and the oracle of one sweep agree on the expansion
+    ``bad`` at ``case`` and on the fast path's answer everywhere else, so only
+    a support check can fail the sweep."""
+    import schurkit.verification as v
+
+    if scope == "lr":
+        fast_product = v.multi_schur_product
+
+        def product(factors):
+            return bad if tuple(f.parts for f in factors) == case else fast_product(factors)
+
+        monkeypatch.setattr(v, "multi_schur_product", product)
+        monkeypatch.setattr(v, "oracle_product", lambda mu, nu: product([mu, nu]))
+    elif scope == "sxp":
+        fast_power = v.sxp_plethysm
+
+        def power(n, lam):
+            return bad if (n, lam.parts) == case else fast_power(n, lam)
+
+        monkeypatch.setattr(v, "sxp_plethysm", power)
+        monkeypatch.setattr(v, "oracle_power_plethysm", power)
+    else:
+        fast_plethysm = v.schur_plethysm
+
+        def plethysm(mu, nu):
+            return bad if (mu.parts, nu.parts) == case else fast_plethysm(mu, nu)
+
+        monkeypatch.setattr(v, "schur_plethysm", plethysm)
+        monkeypatch.setattr(v, "oracle_plethysm", plethysm)
+
+
+# (scope, case, degree and terms of the injected expansion, counterexample)
+INJECTED = [
+    pytest.param("lr", ((2,), (1,)), 3, {(1, 1, 1): 1},
+                 {"kind": "dominance bound violated", "lam": [1, 1, 1],
+                  "mu": [2], "nu": [1]}, id="dominance"),
+    # (2, 2) lies between (3, 1) and (2, 1, 1) but outside the bound (3, 1, 1)
+    pytest.param("lr", ((2,), (1, 1)), 4, {(2, 2): 1},
+                 {"kind": "minkowski bound violated", "lam": [2, 2],
+                  "mu": [2], "nu": [1, 1]}, id="minkowski"),
+    pytest.param("sxp", (2, (2,)), 4, {(1, 1, 1, 1): 1},
+                 {"kind": "lower bound violated", "mu": [1, 1, 1, 1],
+                  "n": 2, "lam": [2]}, id="lower"),
+    # every mu of size n|lam| that contains lam is inside the upper bound, so
+    # only an expansion of the wrong degree can leave it
+    pytest.param("sxp", (2, (2,)), 5, {(5,): 1},
+                 {"kind": "upper bound violated", "mu": [5], "n": 2, "lam": [2]},
+                 id="upper"),
+    pytest.param("sxp", (2, (3,)), 6, {(3, 2, 1): 1},
+                 {"kind": "support has non-empty core", "mu": [3, 2, 1],
+                  "n": 2, "lam": [3]}, id="core"),
+    pytest.param("plethysm", ((1,), (2,)), 2, {(1, 1): 1},
+                 {"kind": "containment filter violated", "lam": [1, 1],
+                  "mu": [1], "nu": [2]}, id="containment"),
+    pytest.param("plethysm", ((1,), (2,)), 2, {(2,): 2},
+                 {"kind": "trivial/sign closed form mismatch", "extracted": [2, 0],
+                  "closed_form": [1, 0], "mu": [1], "nu": [2]}, id="closed-form"),
+    # several terms break the bounds; the sweep names the first in support()
+    # order, here neither the first inserted nor the least nor the greatest
+    pytest.param("lr", ((2,), (1, 1)), 4, {(2, 2): 1, (1, 1, 1, 1): 1},
+                 {"kind": "dominance bound violated", "lam": [1, 1, 1, 1],
+                  "mu": [2], "nu": [1, 1]}, id="two-terms"),
+    pytest.param("sxp", (2, (3,)), 6,
+                 {(2, 2, 2): 1, (2, 1, 1, 1, 1): 1, (1, 1, 1, 1, 1, 1): 1},
+                 {"kind": "lower bound violated", "mu": [2, 1, 1, 1, 1],
+                  "n": 2, "lam": [3]}, id="three-terms"),
+]
+
+
+class TestInjectedViolations:
+    @pytest.mark.parametrize("scope, case, degree, terms, expected", INJECTED)
+    def test_support_check_fires(self, monkeypatch, scope, case, degree, terms, expected):
+        from schurkit.schur import SchurExpansion
+
+        bad = SchurExpansion(degree, {Partition(k): c for k, c in terms.items()})
+        _inject(monkeypatch, scope, case, bad)
+        code, out, _ = run_in_process(["verify", "--scope", scope, "--max", "6"])
+        assert code == 1
+        doc = json.loads(out)["output"]
+        assert doc["status"] == "fail" and doc["checks"][0]["ok"] is False
+        assert doc["counterexample"] == expected
+
+    def test_pinned_statistic_fires(self, monkeypatch):
+        import schurkit.verification as v
+
+        monkeypatch.setattr(v, "plethysm_stats", lambda mu, nu: (231, 142, 41))
+        code, out, _ = run_in_process(["verify", "--scope", "plethysm", "--max", "2"])
+        assert code == 1
+        assert json.loads(out)["output"]["counterexample"] == {
+            "kind": "pinned statistic mismatch",
+            "expected": [231, 142, 40],
+            "got": [231, 142, 41],
+        }
 
 
 class TestDeterminism:

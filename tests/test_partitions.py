@@ -358,3 +358,28 @@ class TestGenerators:
     def test_descending_lex_order(self):
         ps = [p.parts for p in partitions_of(7)]
         assert ps == sorted(ps, reverse=True)
+
+    def test_matches_recursive_reference(self):
+        # partitions_of steps from one partition to the next; the recursive
+        # generator it replaced is the reference, and each member it builds
+        # unchecked must equal the validated Partition of its parts
+        def recursive(n):
+            def rec(remaining, cap, prefix):
+                if remaining == 0:
+                    yield tuple(prefix)
+                    return
+                for first in range(min(cap, remaining), 0, -1):
+                    prefix.append(first)
+                    yield from rec(remaining - first, first, prefix)
+                    prefix.pop()
+
+            yield from rec(n, n, [])
+
+        for n in range(26):
+            got = list(partitions_of(n))
+            assert [p.parts for p in got] == list(recursive(n)), n
+            for p in got:
+                assert p == P(p.parts) and p.size == P(p.parts).size == n
+
+    def test_negative_size_is_empty(self):
+        assert list(partitions_of(-1)) == []

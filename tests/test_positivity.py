@@ -6,6 +6,7 @@ from schurkit import (
     Partition,
     all_partitions,
     decompose,
+    ideal_complement,
     enumerate_candidates,
     lr_bound,
     multi_schur_product,
@@ -18,6 +19,7 @@ from schurkit import (
     sxp_upper_bound,
     trivial_sign_multiplicity,
 )
+from schurkit.positivity import corner_sum
 
 P = Partition
 
@@ -37,6 +39,22 @@ class TestLrBound:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             lr_bound([])
+
+    def test_matches_ideal_complement_of_corner_sum(self):
+        # the min-plus convolution against the ideal-complement reading, on
+        # every ordered list of 1-3 factors (empty ones too) of total size <= 9
+        lists = [()]
+        for k in range(3):  # extend every list of k factors within the budget
+            lists += [
+                tup + (p,)
+                for tup in lists if len(tup) == k
+                for n in range(10 - sum(q.size for q in tup))
+                for p in all_partitions(n)
+            ]
+        lists = lists[1:]
+        assert len(lists) == 3964
+        for tup in lists:
+            assert lr_bound(list(tup)) == ideal_complement(corner_sum(list(tup))), tup
 
     def test_soundness_pairs(self):
         for a in range(6):

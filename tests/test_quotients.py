@@ -12,7 +12,13 @@ from schurkit import (
     sxp_plethysm,
     sxp_sign,
 )
-from schurkit.quotients import _beads_between, _beta_set, _padded_length
+from schurkit.quotients import (
+    _abacus_sign,
+    _beads_between,
+    _beta_set,
+    _has_empty_core,
+    _padded_length,
+)
 
 P = Partition
 
@@ -32,6 +38,18 @@ def _removal_parity(positions, n, pick):
         total += _beads_between(positions, b - n, b)
         positions.remove(b)
         positions.add(b - n)
+
+
+def _inversion_sign(beta, n):
+    """The abacus sign by the inversion count between the beads' positions
+    and their keys, the quadratic reference for _abacus_sign's cycle count."""
+    rank = [0] * n
+    keys = []
+    for b in reversed(beta):
+        keys.append(rank[b % n] * n + b % n)
+        rank[b % n] += 1
+    inversions = sum(1 for i, k in enumerate(keys) for j in keys[:i] if j > k)
+    return -1 if inversions % 2 else 1
 
 
 class TestDecompose:
@@ -67,6 +85,29 @@ class TestDecompose:
                 base = decompose(mu, n)
                 padded = decompose(P(list(mu.parts) + [0] * n), n)
                 assert (base.core, base.quotient) == (padded.core, padded.quotient)
+
+
+class TestAbacusTuples:
+    def test_empty_core_matches_decompose(self):
+        for size in range(17):
+            for mu in all_partitions(size):
+                for n in range(1, 7):
+                    assert _has_empty_core(mu.parts, n) == (not decompose(mu, n).core)
+
+    def test_sign_matches_inversion_count(self):
+        # every empty-core partition of size <= 18, at its own padding and
+        # one runner's worth of beads more
+        checked = 0
+        for n in range(1, 7):
+            for size in range(0, 19, n):
+                for mu in all_partitions(size):
+                    if decompose(mu, n).core:
+                        continue
+                    for m in (_padded_length(len(mu), n), _padded_length(len(mu), n) + n):
+                        beta = _beta_set(mu, m)
+                        assert _abacus_sign(beta, n) == _inversion_sign(beta, n), (mu, n)
+                        checked += 1
+        assert checked > 1000
 
 
 class TestReconstruct:

@@ -356,6 +356,16 @@ class TestZ:
         assert z_of(P()) == 1
         assert z_of(P([2, 2])) == 8
 
+    def test_matches_multiplicity_formula(self):
+        # z_of reads run lengths; the reference counts each part value
+        for n in range(16):
+            for rho in all_partitions(n):
+                want = 1
+                for i in set(rho.parts):
+                    m = rho.parts.count(i)
+                    want *= i**m * factorial(m)
+                assert z_of(rho) == want, rho
+
     def test_class_equation(self):
         # sum over classes of n!/z equals n!
         for n in range(1, 9):
