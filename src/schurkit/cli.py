@@ -17,7 +17,8 @@ import (``PARSER``), and every ``main`` call parses with it; argparse keeps
 no state between parses.
 
 Exit codes: 0 success, 1 verification or internal failure, 2 usage error.
-Every usage error, argparse's own included, prints one ``error: ...`` line.
+Every usage error, argparse's own included, and an input nesting past the
+recursion limit print one ``error: ...`` line.
 """
 
 from __future__ import annotations
@@ -205,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
         return FAILURE
     except (ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
+    except RecursionError:  # the LR walk nests a frame per letter of a factor
+        sys.stderr.write("error: the input nests too deep for the walk\n")
         return USAGE_ERROR
     if result is None:  # filter plethysm printed its own lines
         return 0

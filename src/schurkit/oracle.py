@@ -1,13 +1,14 @@
 """Brute-force reference computations, entirely in the power-sum basis.
 
 This module exists to cross-check the main path and is allowed to be slow.
-It shares Partition, z_of and the beta-set helpers with the rest of the
+It shares Partition, SchurExpansion, z_of and quotients._rim_hooks with the
 package; products, plethysms and the Schur <-> power-sum basis change are
 written here from the defining formulas, so a tableau or quotient-walk bug
-cannot hide.  Its character tables grow from smaller ones on the smallest
-part of rho and the main path's characters recurse on the largest, so the
-plethysm sweep catches a character bug in either; one in the shared
-helpers breaks the orthogonality tests.
+cannot hide.  Its tables grow on rho's smallest part and the main path's
+characters on the largest.  A wrong partition from the shared rim-hook step
+fails column orthogonality and acceptance criterion 9; a height off by one
+flips column rho by (-1)^len(rho), unseen by orthogonality, and fails the
+known-value and principal-specialization plethysm tests.
 
 The basis change is the character table (Macdonald, I.7): s_mu is the sum
 over rho of chi^mu(rho) p_rho / z_rho, and the coefficient of s_lam in
@@ -27,7 +28,7 @@ from math import factorial
 from operator import mul
 
 from .partitions import Partition, all_partitions
-from .quotients import _beads_between, _beta_set, _partition_from_beta
+from .quotients import _rim_hooks
 from .schur import NonIntegralResultError, SchurExpansion, z_of
 
 _PVec = dict[tuple[int, ...], int]  # power-sum coefficients keyed by rho's parts
@@ -52,21 +53,13 @@ def _table(n: int):
         k = rho.parts[-1]
         _, sub_index, sub_rows, _ = _table(n - k)
         if k not in strips:
-            strips[k] = [_strips(lam.parts, k, sub_index) for lam in parts]
+            strips[k] = [
+                [(sub_index[sub], s) for sub, s in _rim_hooks(lam.parts, k)]
+                for lam in parts
+            ]
         j = sub_index[rho.parts[:-1]]
         columns.append([sum(sub_rows[i][j] * s for i, s in row) for row in strips[k]])
     return parts, index, tuple(zip(*columns)), sizes
-
-
-def _strips(lam: tuple[int, ...], k: int, index: dict) -> list[tuple[int, int]]:
-    # each bead move b -> b-k removes a k-strip of height the beads jumped
-    beta = _beta_set(lam, len(lam))
-    occupied = set(beta)
-    return [
-        (index[_partition_from_beta((occupied - {b}) | {b - k})],
-         -1 if _beads_between(beta, b - k, b) % 2 else 1)
-        for b in beta if b >= k and b - k not in occupied
-    ]
 
 
 def _schur_in_p(mu: Partition) -> _PVec:

@@ -8,9 +8,8 @@ candidate that passes may still have coefficient zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, ge
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .partitions import (
     Partition,
@@ -21,8 +20,7 @@ from .partitions import (
 from .quotients import _partition_from_beta, _quotient_walk
 
 
-@dataclass(frozen=True)
-class BoundPair:
+class BoundPair(NamedTuple):
     """Row bound, column bound, and their intersection (row-wise minimum),
     which is the largest partition contained in both."""
 

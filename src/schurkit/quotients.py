@@ -6,7 +6,7 @@ decreasing first-column hook lengths beta_i = lam_i + m - i.  Position b
 becomes a bead on runner b mod n at level b div n.  Then
 
 * removing a rim hook of length n  =  moving one bead down one level, and
-  the hook's height is the number of beads it jumps over;
+  the hook's height is the number of beads it jumps over (``_rim_hooks``);
 * the n-core  =  pushing every bead to the bottom of its runner;
 * the n-quotient  =  reading each runner's bead levels as a beta-set of
   its own.
@@ -25,8 +25,7 @@ on the beads; ``sxp_plethysm`` walks only components inside lam
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import Partition
 
@@ -39,8 +38,7 @@ class NonEmptyCoreError(ValueError):
     """The sign is only defined for partitions with empty n-core."""
 
 
-@dataclass(frozen=True)
-class QuotientDecomposition:
+class QuotientDecomposition(NamedTuple):
     """Core, quotient and (when the core is empty) rim-hook sign of a
     partition with respect to a fixed modulus n.
 
@@ -63,16 +61,31 @@ def _beta_set(mu: Partition | tuple[int, ...], m: int) -> list[int]:
 def _partition_from_beta(beta: Iterable[int]) -> tuple[int, ...]:
     """Inverse of _beta_set for any set of distinct bead positions, as a plain
     tuple of parts without trailing zeros: a bead's part is the number of
-    empty positions below it.  The Murnaghan-Nakayama recursion calls this in
-    its inner loop, so it builds no Partition."""
+    empty positions below it."""
     parts = [b - i for i, b in enumerate(sorted(beta)) if b > i]
     return tuple(reversed(parts))
 
 
-def _beads_between(beads: Iterable[int], t: int, b: int) -> int:
-    """Number of beads strictly between positions t < b: the height of the
-    rim hook removed by moving the bead at b down to t."""
-    return sum(1 for x in beads if t < x < b)
+def _rim_hooks(mu: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every (nu, (-1)^height) with nu left by removing a k-rim hook from mu:
+    one bead move b -> b-k onto an empty position, jumping `height` beads.
+    beta falls, so the scan stops at the first bead below k.  The jumped beads
+    beta[i+1:j] move up a row and lose a cell each; the bead at t is row j-1."""
+    m = len(mu)
+    beta = _beta_set(mu, m)
+    occupied = set(beta)
+    out = []
+    for i, b in enumerate(beta):
+        t = b - k
+        if t < 0:
+            break
+        if t not in occupied:
+            j = i + 1
+            while j < m and beta[j] > t:
+                j += 1
+            nu = mu[:i] + tuple([p - 1 for p in mu[i + 1 : j]]) + (t - m + j,) + mu[j:]
+            out.append((nu[: len(nu) - nu.count(0)], 1 if (j - i) % 2 else -1))
+    return out
 
 
 def _padded_length(length: int, n: int) -> int:
@@ -143,7 +156,7 @@ def reconstruct(n: int, core: Partition, quotient: Sequence[Partition]) -> Parti
         raise ValueError("modulus n must be >= 1")
     if len(quotient) != n:
         raise ValueError(f"quotient must have {n} components, got {len(quotient)}")
-    if any(q for q in decompose(core, n).quotient):
+    if _rim_hooks(core.parts, n):
         raise NotACoreError(f"{core!r} has a removable rim hook of length {n}")
     # component i lifts runner i's bottom beads by its parts; this padding
     # leaves every runner more beads than its component has parts

@@ -24,13 +24,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .partitions import Partition, all_partitions
-from .quotients import (
-    _abacus_sign,
-    _beads_between,
-    _beta_set,
-    _partition_from_beta,
-    _quotient_walk,
-)
+from .quotients import _abacus_sign, _partition_from_beta, _quotient_walk, _rim_hooks
 
 
 class NonIntegralResultError(ArithmeticError):
@@ -256,29 +250,19 @@ def z_of(rho: Partition) -> int:
     return z
 
 
-def _character_rec(
-    mu: tuple[int, ...], rho: tuple[int, ...], memo: dict
-) -> int:
-    """Murnaghan-Nakayama recursion on beta-sets: a border strip of length k
-    is a bead move b -> b-k, with height the number of beads in between."""
+def _character_rec(mu: tuple[int, ...], rho: tuple[int, ...], memo: dict) -> int:
+    """Murnaghan-Nakayama recursion on rho's largest part first, over the subs
+    that quotients._rim_hooks leaves; the oracle's tables take the same step
+    on the smallest part, and its docstring names the tests that guard it."""
     if not rho:
         return 1 if not mu else 0
     key = (mu, rho)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    k, rest = rho[0], rho[1:]
-    beta = _beta_set(mu, len(mu))
-    occupied = set(beta)
-    total = 0
-    for b in beta:
-        t = b - k
-        if t < 0 or t in occupied:
-            continue
-        height = _beads_between(beta, t, b)
-        new_mu = _partition_from_beta((occupied - {b}) | {t})
-        term = _character_rec(new_mu, rest, memo)
-        total += -term if height % 2 else term
+    rest, total = rho[1:], 0
+    for sub, sign in _rim_hooks(mu, rho[0]):  # a loop: sum(genexpr) is slower
+        total += sign * _character_rec(sub, rest, memo)
     memo[key] = total
     return total
 

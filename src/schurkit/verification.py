@@ -8,7 +8,6 @@ these; a sweep stops at the first counterexample and reports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import lt
 
@@ -24,11 +23,9 @@ SXP_MAX_N = 3
 ORACLE_TABLE_BUDGET = 50_000
 
 
-@dataclass
 class SweepReport:
-    scope: str
-    cases: int = 0
-    counterexample: dict | None = field(default=None)
+    def __init__(self, scope: str):
+        self.scope, self.cases, self.counterexample = scope, 0, None
 
     @property
     def ok(self) -> bool:

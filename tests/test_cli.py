@@ -75,6 +75,15 @@ FOREIGN_FLAGS = [
 ]
 
 
+def test_import_leaves_out_dataclasses_and_inspect(cli_env):
+    # -S: a site .pth file may import either module on its own
+    code = ("import sys, schurkit.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                       text=True, env=cli_env, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")
+
+
 class TestExpand:
     def test_sxp_twelve_terms(self, cli_env):
         r = run_cli(["expand", "sxp", "-n", "2", "-l", "3,2"], cli_env)
@@ -162,6 +171,16 @@ class TestExpand:
             assert time.perf_counter() - started < 0.1
             assert (code, out) == (2, "")
             assert err == f"error: n = {n} is over the quotient walk's bound of {MAX_WALK_N}\n"
+
+    def test_product_too_deep_exit_2(self, cli_env):
+        # the LR walk nests a frame per letter, so 990 letters pass the
+        # recursion limit; main refuses the input in one line, at once
+        ones = ",".join(["1"] * 990)
+        started = time.perf_counter()
+        r = run_cli(["expand", "product", "-m", ones, "-v", ones], cli_env)
+        assert time.perf_counter() - started < 1
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: the input nests too deep for the walk\n"
 
     def test_internal_error_exit_1(self, monkeypatch, capsys):
         import schurkit.cli

@@ -14,10 +14,10 @@ from schurkit import (
 )
 from schurkit.quotients import (
     _abacus_sign,
-    _beads_between,
     _beta_set,
     _has_empty_core,
     _padded_length,
+    _rim_hooks,
 )
 
 P = Partition
@@ -35,7 +35,7 @@ def _removal_parity(positions, n, pick):
         if not movable:
             return total % 2
         b = movable[pick(movable)]
-        total += _beads_between(positions, b - n, b)
+        total += sum(1 for x in positions if b - n < x < b)
         positions.remove(b)
         positions.add(b - n)
 
@@ -50,6 +50,42 @@ def _inversion_sign(beta, n):
         rank[b % n] += 1
     inversions = sum(1 for i, k in enumerate(keys) for j in keys[:i] if j > k)
     return -1 if inversions % 2 else 1
+
+
+def _diagram_rim_hooks(mu, k):
+    """(nu, sign) for every nu inside mu with |mu| - |nu| = k whose skew
+    diagram mu/nu is connected and holds no 2x2 block, signed by (-1) to its
+    rows minus one: the definition of a rim hook, read off cells, no beads."""
+    out = []
+    for nu in all_partitions(sum(mu) - k):
+        inner = nu.parts + (0,) * (len(mu) - len(nu))
+        if len(inner) > len(mu) or any(a < b for a, b in zip(mu, inner)):
+            continue
+        cells = {(r, c) for r, p in enumerate(mu) for c in range(inner[r], p)}
+        if any({(r + 1, c), (r, c + 1), (r + 1, c + 1)} <= cells for r, c in cells):
+            continue
+        seen, stack = set(), [min(cells)]
+        while stack:
+            r, c = stack.pop()
+            if (r, c) in cells and (r, c) not in seen:
+                seen.add((r, c))
+                stack += [(r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)]
+        if seen == cells:
+            out.append((nu.parts, (-1) ** (len({r for r, _ in cells}) - 1)))
+    return sorted(out)
+
+
+class TestRimHooks:
+    def test_matches_diagram_definition(self):
+        # every mu of size <= 12 and every hook length 1 .. |mu|
+        checked = 0
+        for size in range(13):
+            for mu in all_partitions(size):
+                for k in range(1, size + 1):
+                    got = _rim_hooks(mu.parts, k)
+                    assert sorted(got) == _diagram_rim_hooks(mu.parts, k), (mu, k)
+                    checked += len(got)
+        assert checked > 1000
 
 
 class TestDecompose:
@@ -148,6 +184,18 @@ class TestReconstruct:
     def test_not_a_core(self):
         with pytest.raises(NotACoreError):
             reconstruct(2, P([2]), (P(), P()))
+
+    def test_not_a_core_exactly_when_decompose_moves_it(self):
+        # the reference: c is an n-core exactly when it is its own n-core
+        for n in range(1, 6):
+            empty = (P(),) * n
+            for size in range(13):
+                for c in all_partitions(size):
+                    if decompose(c, n).core != c:
+                        with pytest.raises(NotACoreError):
+                            reconstruct(n, c, empty)
+                    else:
+                        assert reconstruct(n, c, empty) == c
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
