@@ -28,10 +28,11 @@ import json
 import sys
 import time
 
-from .partitions import Partition, ideal_complement
+from .partitions import Partition
 from .positivity import (
     corner_sum,
     enumerate_candidates,
+    lr_bound,
     plethysm_filter_check,
     sxp_upper_bound,
 )
@@ -85,7 +86,7 @@ def _cmd_filter(args: argparse.Namespace) -> tuple[dict, dict] | None:
     if args.kind == "lr":
         corners = corner_sum(args.mu)
         output = {
-            "theta": ideal_complement(corners).to_list(),
+            "theta": lr_bound(args.mu).to_list(),
             "corner_sum": [list(p) for p in sorted(corners)],
         }
         return {"kind": "lr", "factors": [m.to_list() for m in args.mu]}, output

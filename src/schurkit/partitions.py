@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from operator import gt, index, lt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class InfiniteRegionError(ValueError):
@@ -122,14 +122,19 @@ class Partition:
             raise ValueError(
                 f"dominance compares partitions of equal size, got {self._size} and {other.size}"
             )
-        # map stops at the shorter partition; past it, its prefix sums stay at
-        # the common size, so any deficit there shows at its last row already
-        return not any(map(lt, accumulate(self._parts), accumulate(other._parts)))
+        return _dominates(self._parts, other._parts)
 
 
-def _contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
-    """Diagram containment on part tuples: every row of inner fits in outer."""
+def _contains(outer: Sequence[int], inner: Sequence[int]) -> bool:
+    """Diagram containment on part sequences: every row of inner fits in outer."""
     return len(inner) <= len(outer) and not any(map(gt, inner, outer))
+
+
+def _dominates(upper: Sequence[int], lower: Sequence[int]) -> bool:
+    """Dominance on part sequences of equal size: no prefix sum of upper is
+    below lower's.  map stops at the shorter one; past it, its prefix sums
+    stay at the common size, so any deficit there shows at its last row."""
+    return not any(map(lt, accumulate(upper), accumulate(lower)))
 
 
 def outer_corners(lam: Partition) -> frozenset[Point]:

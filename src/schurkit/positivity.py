@@ -11,12 +11,7 @@ from __future__ import annotations
 from operator import add, ge
 from typing import NamedTuple, Sequence
 
-from .partitions import (
-    Partition,
-    Point,
-    minkowski_sum,
-    outer_corners,
-)
+from .partitions import Partition, Point, _contains, minkowski_sum, outer_corners
 from .quotients import _partition_from_beta, _quotient_walk
 
 
@@ -63,10 +58,10 @@ def lr_bound(mus: Sequence[Partition]) -> Partition:
     return Partition(rows)
 
 
-def sxp_lower_check(lam: Partition, mu: Partition) -> bool:
+def sxp_lower_check(lam: Sequence[int], mu: Sequence[int]) -> bool:
     """Necessary for <s_mu, p_n o s_lam> != 0 for any n: [lam] must be
-    contained in [mu]."""
-    return mu.contains(lam)
+    contained in [mu].  Each argument is a Partition or a part tuple."""
+    return _contains(mu, lam)
 
 
 def size_row_bound(total: int) -> Partition:
@@ -109,10 +104,10 @@ def sxp_upper_bound(n: int, lam: Partition) -> BoundPair:
     return BoundPair(xi1=xi1, xi2=xi2, intersection=inter)
 
 
-def plethysm_filter_check(nu: Partition, lam: Partition) -> bool:
+def plethysm_filter_check(nu: Sequence[int], lam: Sequence[int]) -> bool:
     """Necessary for <s_lam, s_mu o s_nu> != 0 for any mu: [nu] must be
-    contained in [lam]."""
-    return lam.contains(nu)
+    contained in [lam].  Each argument is a Partition or a part tuple."""
+    return _contains(lam, nu)
 
 
 def _is_single_row(p: Partition) -> bool:

@@ -1,19 +1,24 @@
 """Equivalence and soundness sweeps.
 
-Each sweep drives the fast path and the brute-force oracle over a degree
-range and checks them against each other, together with the pruning filters'
-guarantees.  The CLI verify command and the acceptance test suite both call
-these; a sweep stops at the first counterexample and reports it.
+Each sweep drives the fast path and the brute-force oracle through one loop,
+``_sweep``, and checks the support with the filters users call: ``lr_bound``,
+``partitions._dominates`` (``Partition.dominates``), ``sxp_lower_check``,
+``sxp_upper_bound``, the empty n-core and ``plethysm_filter_check``, which
+``containment_counts`` (``stats``) counts with too.  The CLI verify command
+and the acceptance tests call these; a sweep stops at its first counterexample.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import lt
-
 from .oracle import oracle_plethysm, oracle_power_plethysm, oracle_product
-from .partitions import Partition, _contains, all_partitions
-from .positivity import lr_bound, sxp_upper_bound, trivial_sign_multiplicity
+from .partitions import Partition, _contains, _dominates, all_partitions
+from .positivity import (
+    lr_bound,
+    plethysm_filter_check,
+    sxp_lower_check,
+    sxp_upper_bound,
+    trivial_sign_multiplicity,
+)
 from .quotients import _has_empty_core
 from .schur import SchurExpansion, multi_schur_product, schur_plethysm, sxp_plethysm
 
@@ -43,38 +48,49 @@ def _expansion_mismatch(fast: SchurExpansion, slow: SchurExpansion) -> dict | No
     return {"kind": "oracle mismatch", "diff_fast_vs_oracle": diff}
 
 
-def check_products(max_degree: int) -> SweepReport:
-    """s_mu * s_nu vs oracle_product for all pairs with |mu|+|nu| <= max,
-    plus the dominance and Minkowski-corner support bounds."""
-    report = SweepReport("lr")
-    for a in range(max_degree + 1):
-        for mu in all_partitions(a):
-            for b in range(max_degree - a + 1):
-                for nu in all_partitions(b):
-                    report.cases += 1
-                    fast = multi_schur_product([mu, nu])
-                    bad = _expansion_mismatch(fast, oracle_product(mu, nu))
-                    if bad is None:
-                        bad = _product_support_violation(mu, nu, fast)
-                    if bad is not None:
-                        bad["mu"], bad["nu"] = mu.to_list(), nu.to_list()
-                        report.counterexample = bad
-                        return report
+def _sweep(scope: str, cases, fast, oracle, check, names: tuple[str, ...]) -> SweepReport:
+    """Count each case, compare fast(*case) with oracle(*case) and run
+    check(*case, terms) on the fast terms (part tuple -> coefficient); the
+    first counterexample, labelled with the case under ``names``, stops it."""
+    report = SweepReport(scope)
+    for case in cases:
+        report.cases += 1
+        expansion = fast(*case)
+        bad = _expansion_mismatch(expansion, oracle(*case))
+        if bad is None:
+            # a set built item by item walks the terms in support()'s order, so
+            # of several bad terms the one named is the one support() meets first
+            support = frozenset(iter(expansion._parts))
+            bad = check(*case, dict(zip(support, map(expansion._parts.get, support))))
+        if bad is not None:
+            for name, arg in zip(names, case):
+                bad[name] = arg.to_list() if isinstance(arg, Partition) else arg
+            report.counterexample = bad
+            return report
     return report
 
 
-def _product_support_violation(
-    mu: Partition, nu: Partition, product: SchurExpansion
-) -> dict | None:
-    # dominance on prefix sums, as Partition.dominates reads them
-    top = list(accumulate((mu + nu).parts))
-    bottom = list(accumulate(mu.union(nu).parts))
+# each check_* reads its fast path and oracle from this module when called, so
+# a function rebound here (by a test, or by bench/spans.py) is the one that runs
+def check_products(max_degree: int) -> SweepReport:
+    """s_mu * s_nu vs oracle_product for all pairs with |mu|+|nu| <= max,
+    plus the dominance and Minkowski-corner support bounds."""
+    pairs = (
+        (mu, nu)
+        for a in range(max_degree + 1)
+        for mu in all_partitions(a)
+        for b in range(max_degree - a + 1)
+        for nu in all_partitions(b)
+    )
+    return _sweep("lr", pairs, lambda mu, nu: multi_schur_product([mu, nu]),
+                  oracle_product, _product_support_violation, ("mu", "nu"))
+
+
+def _product_support_violation(mu: Partition, nu: Partition, terms: dict) -> dict | None:
+    top, bottom = (mu + nu).parts, mu.union(nu).parts
     bound = lr_bound([mu, nu]).parts
-    # built item by item, the set walks the terms in support()'s order, so of
-    # several violating terms the one named is the one support() meets first
-    for lam in frozenset(iter(product._parts)):
-        sums = list(accumulate(lam))
-        if any(map(lt, top, sums)) or any(map(lt, sums, bottom)):
+    for lam in terms:
+        if not (_dominates(top, lam) and _dominates(lam, bottom)):
             return {"kind": "dominance bound violated", "lam": list(lam)}
         if not _contains(bound, lam):
             return {"kind": "minkowski bound violated", "lam": list(lam)}
@@ -85,28 +101,20 @@ def check_sxp(max_degree: int) -> SweepReport:
     """sxp_plethysm vs the oracle's power-sum route for n <= 3 and result
     degree n|lam| <= max, plus the lower/upper bounds and the empty-core
     property of the support."""
-    report = SweepReport("sxp")
-    for n in range(1, SXP_MAX_N + 1):
-        for size in range(max_degree // n + 1):
-            for lam in all_partitions(size):
-                report.cases += 1
-                fast = sxp_plethysm(n, lam)
-                bad = _expansion_mismatch(fast, oracle_power_plethysm(n, lam))
-                if bad is None:
-                    bad = _sxp_support_violation(n, lam, fast)
-                if bad is not None:
-                    bad["n"], bad["lam"] = n, lam.to_list()
-                    report.counterexample = bad
-                    return report
-    return report
+    cases = (
+        (n, lam)
+        for n in range(1, SXP_MAX_N + 1)
+        for size in range(max_degree // n + 1)
+        for lam in all_partitions(size)
+    )
+    return _sweep("sxp", cases, sxp_plethysm, oracle_power_plethysm,
+                  _sxp_support_violation, ("n", "lam"))
 
 
-def _sxp_support_violation(
-    n: int, lam: Partition, expansion: SchurExpansion
-) -> dict | None:
+def _sxp_support_violation(n: int, lam: Partition, terms: dict) -> dict | None:
     upper = sxp_upper_bound(n, lam).intersection.parts
-    for mu in frozenset(iter(expansion._parts)):  # support()'s order
-        if not _contains(mu, lam.parts):
+    for mu in terms:
+        if not sxp_lower_check(lam.parts, mu):
             return {"kind": "lower bound violated", "mu": list(mu)}
         if not _contains(upper, mu):
             return {"kind": "upper bound violated", "mu": list(mu)}
@@ -120,62 +128,52 @@ def check_plethysm(max_degree: int) -> SweepReport:
     containment filter on the support, and the closed forms for the extreme
     row/column coefficients; then, regardless of max, the known
     231 / 142 / 40 pruning statistic for s_{1,1} o s_{4,2,2}."""
-    report = SweepReport("plethysm")
-    pairs = [
+    pairs = (
         (mu, nu)
         for a in range(max_degree + 1)
         for mu in all_partitions(a)
-        for b in range(max_degree + 1)
+        for b in range(max_degree // max(a, 1) + 1)  # a * b <= max_degree
         for nu in all_partitions(b)
-        if a * b <= max_degree
-    ]
-    for mu, nu in pairs:
+    )
+    report = _sweep("plethysm", pairs, schur_plethysm, oracle_plethysm,
+                    _plethysm_support_violation, ("mu", "nu"))
+    if report.ok:
         report.cases += 1
-        fast = schur_plethysm(mu, nu)
-        bad = _expansion_mismatch(fast, oracle_plethysm(mu, nu))
-        if bad is None:
-            bad = _plethysm_support_violation(mu, nu, fast)
-        if bad is not None:
-            bad["mu"], bad["nu"] = mu.to_list(), nu.to_list()
-            report.counterexample = bad
-            return report
-    report.cases += 1
-    stats = plethysm_stats(Partition([1, 1]), Partition([4, 2, 2]))
-    if stats != (231, 142, 40):
-        report.counterexample = {
-            "kind": "pinned statistic mismatch",
-            "expected": [231, 142, 40],
-            "got": list(stats),
-        }
+        stats = plethysm_stats(Partition([1, 1]), Partition([4, 2, 2]))
+        if stats != (231, 142, 40):
+            report.counterexample = {
+                "kind": "pinned statistic mismatch",
+                "expected": [231, 142, 40],
+                "got": list(stats),
+            }
     return report
 
 
-def _plethysm_support_violation(
-    mu: Partition, nu: Partition, expansion: SchurExpansion
-) -> dict | None:
+def _plethysm_support_violation(mu: Partition, nu: Partition, terms: dict) -> dict | None:
     # the containment guarantee concerns compositions with a genuine outer
     # factor; s_() o s_nu is the constant 1 and says nothing about nu
     if mu:
-        for lam in frozenset(iter(expansion._parts)):  # support()'s order
-            if not _contains(lam, nu.parts):
+        for lam in terms:
+            if not plethysm_filter_check(nu.parts, lam):
                 return {"kind": "containment filter violated", "lam": list(lam)}
     degree = mu.size * nu.size
     row = (degree,) if degree else ()
-    expected = (expansion._parts.get(row, 0), expansion._parts.get((1,) * degree, 0))
-    if trivial_sign_multiplicity(mu, nu) != expected:
+    extracted = (terms.get(row, 0), terms.get((1,) * degree, 0))
+    closed_form = trivial_sign_multiplicity(mu, nu)
+    if closed_form != extracted:
         return {
             "kind": "trivial/sign closed form mismatch",
-            "extracted": list(expected),
-            "closed_form": list(trivial_sign_multiplicity(mu, nu)),
+            "extracted": list(extracted),
+            "closed_form": list(closed_form),
         }
     return None
 
 
 def containment_counts(mu: Partition, nu: Partition) -> tuple[int, int]:
-    """(number of partitions of |mu||nu|, how many pass the containment filter;
+    """(number of partitions of |mu||nu|, how many pass plethysm_filter_check;
     s_() o s_nu = 1 passes, as in _plethysm_support_violation)."""
     candidates = all_partitions(mu.size * nu.size)
-    passing = sum(1 for lam in candidates if not mu or _contains(lam.parts, nu.parts))
+    passing = sum(1 for lam in candidates if not mu or plethysm_filter_check(nu.parts, lam.parts))
     return (len(candidates), passing)
 
 

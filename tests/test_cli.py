@@ -356,6 +356,16 @@ class TestVerify:
         assert (bad["mu"], bad["nu"]) == ([], [])
         assert bad["diff_fast_vs_oracle"] == {"[]": [0, 1]}
 
+    def test_case_counts_pinned(self):
+        # the cases each sweep counts at --max 0..10, so a sweep loop that
+        # drops or double-counts a case shows here
+        counts = [[r.cases for r in run_scope("all", d)] for d in range(11)]
+        assert counts == [
+            [1, 3, 2], [3, 4, 5], [8, 7, 13], [18, 11, 25], [38, 18, 49],
+            [74, 25, 77], [139, 41, 133], [249, 56, 193], [434, 83, 301],
+            [734, 116, 430], [1215, 165, 626],
+        ]
+
     def test_budget_admits_degree_15(self):
         assert len(all_partitions(15)) ** 2 <= ORACLE_TABLE_BUDGET
 
@@ -461,6 +471,46 @@ class TestInjectedViolations:
             "expected": [231, 142, 40],
             "got": [231, 142, 41],
         }
+
+
+def _refusing(monkeypatch, name, refused):
+    """Rebind the filter ``name`` in schurkit.verification so that it refuses
+    the candidate (its second argument) ``refused`` and answers as before on
+    every other."""
+    import schurkit.verification as v
+
+    check = getattr(v, name)
+    monkeypatch.setattr(v, name, lambda inner, outer: tuple(outer) != refused
+                        and check(inner, outer))
+
+
+class TestSweepsCallTheFilters:
+    """The sweeps and stats run the public filters, not copies of them: a
+    fault in the filter shows in verify and in stats."""
+
+    @pytest.mark.parametrize("scope, name, refused, expected", [
+        pytest.param("sxp", "sxp_lower_check", (2, 1),
+                     {"kind": "lower bound violated", "mu": [2, 1], "n": 1,
+                      "lam": [2, 1]}, id="sxp"),
+        pytest.param("plethysm", "plethysm_filter_check", (1, 1),
+                     {"kind": "containment filter violated", "lam": [1, 1],
+                      "mu": [1], "nu": [1, 1]}, id="plethysm"),
+    ])
+    def test_verify_fails_with_the_filter(self, monkeypatch, scope, name, refused,
+                                          expected):
+        _refusing(monkeypatch, name, refused)
+        code, out, _ = run_in_process(["verify", "--scope", scope, "--max", "6"])
+        assert code == 1
+        doc = json.loads(out)["output"]
+        assert doc["status"] == "fail" and doc["checks"][0]["ok"] is False
+        assert doc["counterexample"] == expected
+
+    def test_stats_counts_with_the_filter(self, monkeypatch):
+        # (4, 4, 4, 4) contains (4, 2, 2), so refusing it drops one survivor
+        _refusing(monkeypatch, "plethysm_filter_check", (4, 4, 4, 4))
+        code, out, _ = run_in_process(["stats", "1,1", "4,2,2"])
+        assert code == 0
+        assert json.loads(out)["output"]["after_filter"] == "141"
 
 
 class TestDeterminism:

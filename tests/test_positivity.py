@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -53,6 +54,14 @@ class TestLrBound:
             ]
         lists = lists[1:]
         assert len(lists) == 3964
+        # and, since filter lr prints lr_bound as theta, on a seeded sample of
+        # 4-5 factors (empty ones too) of total size <= 14
+        rng = random.Random(18)
+        for _ in range(2000):
+            total = rng.randint(0, 14)
+            cuts = sorted(rng.randint(0, total) for _ in range(rng.choice((3, 4))))
+            sizes = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+            lists.append(tuple(rng.choice(all_partitions(n)) for n in sizes))
         for tup in lists:
             assert lr_bound(list(tup)) == ideal_complement(corner_sum(list(tup))), tup
 
@@ -84,6 +93,15 @@ class TestSxpBounds:
         assert sxp_lower_check(P([3, 2]), P([6, 4]))
         assert not sxp_lower_check(P([3, 2]), P([10]))
         assert sxp_lower_check(P(), P([4, 1]))
+
+    def test_checks_take_part_tuples(self):
+        # the sweeps and stats call both filters on part tuples
+        pool = [p for n in range(6) for p in all_partitions(n)]
+        for a in pool:
+            for b in pool:
+                fits = b.contains(a)
+                assert sxp_lower_check(a.parts, b.parts) == sxp_lower_check(a, b) == fits
+                assert plethysm_filter_check(a.parts, b) == plethysm_filter_check(a, b) == fits
 
     def test_upper_bound_worked_example(self):
         bp = sxp_upper_bound(2, P([3, 2]))
