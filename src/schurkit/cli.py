@@ -30,8 +30,8 @@ import time
 
 from .partitions import Partition
 from .positivity import (
+    _candidate_parts,
     corner_sum,
-    enumerate_candidates,
     lr_bound,
     plethysm_filter_check,
     sxp_upper_bound,
@@ -94,7 +94,7 @@ def _cmd_filter(args: argparse.Namespace) -> tuple[dict, dict] | None:
         output = sxp_upper_bound(args.n, args.lam).to_json_obj()
         if args.candidates:
             output["candidates"] = [
-                mu.to_list() for mu in enumerate_candidates(args.n, args.lam)
+                list(mu) for mu in _candidate_parts(args.n, args.lam)
             ]
         return {"kind": "sxp", "n": args.n, "lam": args.lam.to_list()}, output
     # plethysm: line filter over stdin, printing as it reads

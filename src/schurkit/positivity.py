@@ -146,17 +146,23 @@ def enumerate_candidates(n: int, lam: Partition) -> list[Partition]:
     n-core.  Always a superset of the true support, in descending
     lexicographic order, and inside ``sxp_upper_bound``'s intersection,
     which holds every partition of size n|lam| that contains lam.
+    """
+    return [Partition._from_parts(mu) for mu in _candidate_parts(n, lam)]
+
+
+def _candidate_parts(n: int, lam: Partition) -> list[tuple[int, ...]]:
+    """enumerate_candidates as part tuples, the form ``filter sxp`` prints.
 
     The walk takes every component (|lam| rows of width |lam|) and places
     each n-quotient of size |lam| with the empty core and |lam| + 1 beads
-    per runner, M in all, so size and core hold by construction; mu
-    contains lam exactly when its k-th largest bead is at least
-    lam_k + M-1-k, so only candidates become Partitions.
+    per runner, M in all, so size and core hold by construction; once its
+    beads are sorted, mu contains lam exactly when its k-th largest bead is
+    at least lam_k + M-1-k, and only then are its parts read off them.
     """
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
     if n == 1 or not lam:  # p_1 o s_lam = s_lam, p_n o s_() = s_(), and lam
-        return [lam]  # is the only mu of its size that contains lam
+        return [lam.parts]  # is the only mu of its size that contains lam
     c = lam.size + 1  # the walk's beads per runner
     need = [p + n * c - 1 - k for k, p in enumerate(lam)]
     out = []
@@ -164,4 +170,4 @@ def enumerate_candidates(n: int, lam: Partition) -> list[Partition]:
         beads.sort(reverse=True)
         if all(map(ge, beads, need)):
             out.append(_partition_from_beta(beads))
-    return [Partition(mu) for mu in sorted(out, reverse=True)]
+    return sorted(out, reverse=True)

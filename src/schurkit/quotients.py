@@ -17,7 +17,8 @@ all independent of the padding.  Runner k carries quotient component k.
 
 The SXP index set lives here: ``_quotient_walk`` runs over n-quotients of
 int part tuples and places each with the empty core and one bead per runner
-more than the longest component may have parts.  ``enumerate_candidates``
+more than the longest component may have parts.  Each caller sorts a bead
+set once, descending, and reads its answer off it: ``enumerate_candidates``
 walks every component (|lam| rows, so |lam| + 1 beads) and tests containment
 on the beads; ``sxp_plethysm`` walks only components inside lam
 (len(lam) + 1 beads) and reads mu and its sign off the beads.
@@ -25,7 +26,7 @@ on the beads; ``sxp_plethysm`` walks only components inside lam
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import Partition
 
@@ -58,12 +59,11 @@ def _beta_set(mu: Partition | tuple[int, ...], m: int) -> list[int]:
     return beta + list(range(m - 1 - len(mu), -1, -1))
 
 
-def _partition_from_beta(beta: Iterable[int]) -> tuple[int, ...]:
-    """Inverse of _beta_set for any set of distinct bead positions, as a plain
-    tuple of parts without trailing zeros: a bead's part is the number of
-    empty positions below it."""
-    parts = [b - i for i, b in enumerate(sorted(beta)) if b > i]
-    return tuple(reversed(parts))
+def _partition_from_beta(beta: Sequence[int]) -> tuple[int, ...]:
+    """Inverse of _beta_set for distinct bead positions in descending order,
+    as a plain tuple of parts without trailing zeros: a bead's part is the
+    number of empty positions below it.  The beads are not sorted here."""
+    return tuple([b - k for b, k in zip(beta, range(len(beta) - 1, -1, -1)) if b > k])
 
 
 def _rim_hooks(mu: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], int]]:
@@ -111,8 +111,9 @@ def decompose(mu: Partition, n: int) -> QuotientDecomposition:
     core_positions = [
         i + n * j for i, runner in enumerate(levels) for j in range(len(runner))
     ]
-    core = Partition(_partition_from_beta(core_positions))
+    core = Partition(_partition_from_beta(sorted(core_positions, reverse=True)))
 
+    # beta falls, so each runner's levels fall too
     quotient = tuple(Partition(_partition_from_beta(runner)) for runner in levels)
 
     sign = None if core else _abacus_sign(beta, n)
@@ -121,23 +122,22 @@ def decompose(mu: Partition, n: int) -> QuotientDecomposition:
 
 def _abacus_sign(beta: Sequence[int], n: int) -> int:
     """(-1) to the total height of pushing every bead of an empty-core
-    beta-set down.  The beads end at keys rank * n + runner (rank counted from
-    the bottom of the runner), which fill 0 .. m-1.  A move over h beads is h
-    transpositions of the bead order and never passes a bead on its own
-    runner, so the height has the parity of the permutation from the beads'
-    positions to their keys: m minus its number of cycles."""
-    rank = [0] * n
-    keys = []
-    for b in reversed(beta):  # ascending positions
-        keys.append(rank[b % n] * n + b % n)
-        rank[b % n] += 1
-    swaps = len(keys)
-    for i in range(len(keys)):
-        swaps -= keys[i] >= 0  # a cycle not yet walked; walking marks it -1
-        j = i
-        while keys[j] >= 0:
-            keys[j], j = -1, keys[j]
-    return -1 if swaps % 2 else 1
+    beta-set (descending) down.  The beads end at keys rank * n + runner
+    (rank counted from the bottom of the runner), which fill 0 .. m-1.  A
+    move over h beads is h transpositions of the bead order and never passes
+    a bead on its own runner, so the height has the parity of the inversions
+    of the permutation from the beads' positions to their keys.  From the
+    top, runner r's keys fall from m-n+r by n; one bit per key seen counts
+    the beads above that are in order."""
+    m = len(beta)
+    keys = list(range(m - n, m))  # each runner's next key from the top
+    seen, inversions = 0, m * (m - 1) // 2
+    for b in beta:
+        k = keys[b % n]
+        keys[b % n] = k - n
+        inversions -= (seen >> k).bit_count()
+        seen |= 1 << k
+    return -1 if inversions % 2 else 1
 
 
 def _has_empty_core(mu: tuple[int, ...], n: int) -> bool:
@@ -165,7 +165,7 @@ def reconstruct(n: int, core: Partition, quotient: Sequence[Partition]) -> Parti
     for b in _beta_set(core, n * (len(core) + max_quot + 1)):
         counts[b % n] += 1
     beads = [i + n * b for i, q in enumerate(quotient) for b in _beta_set(q, counts[i])]
-    return Partition(_partition_from_beta(beads))
+    return Partition(_partition_from_beta(sorted(beads, reverse=True)))
 
 
 # a frame per runner, well inside the recursion limit; n = 256 takes ~1 s on (1)
@@ -189,9 +189,10 @@ def _quotient_walk(n: int, total: int, outer: Sequence[int]) -> Iterator:
             for p in range(1, min(cap, q[-1] if q else cap, total - sum(q)) + 1)
         ]
     table = [[[] for _ in range(total + 1)] for _ in range(n)]
-    for q in shapes:
-        for i in range(n):
-            table[i][sum(q)].append((q, [i + n * b for b in _beta_set(q, c)]))
+    for q in shapes:  # one beta-set per shape, shifted onto every runner
+        nb = [n * b for b in _beta_set(q, c)]
+        for i, row in enumerate(table):
+            row[sum(q)].append((q, [b + i for b in nb]))
 
     def walk(i, left, qs, beads):
         if i == n - 1:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from schurkit.partitions import Partition, all_partitions
+from schurkit.positivity import enumerate_candidates, sxp_upper_bound
 from schurkit.verification import ORACLE_TABLE_BUDGET, run_scope
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -218,6 +219,27 @@ class TestFilter:
         out = payload(r)
         assert len(out["candidates"]) == 22
         assert [6, 4] in out["candidates"]
+
+    def test_sxp_candidates_bytes_match_the_library(self):
+        # the CLI prints the candidates from part tuples; its bytes equal the
+        # document built from the public bound and Partition candidates
+        cases = 0
+        for n in range(1, 5):
+            for size in range(7):
+                for lam in all_partitions(size):
+                    literal = ",".join(map(str, lam))
+                    argv = ["filter", "sxp", "-n", str(n), "-l", literal, "--candidates"]
+                    code, out, err = run_in_process(argv)
+                    output = sxp_upper_bound(n, lam).to_json_obj()
+                    cands = enumerate_candidates(n, lam)
+                    output["candidates"] = [mu.to_list() for mu in cands]
+                    inputs = {"kind": "sxp", "n": n, "lam": lam.to_list()}
+                    doc = {"command": "filter", "inputs": inputs, "output": output}
+                    assert (code, err) == (0, "")
+                    got = re.sub(r',"elapsed_ms":[-+0-9.eE]+', "", out)
+                    assert got == json.dumps(doc, separators=(",", ":")) + "\n", argv
+                    cases += 1
+        assert cases == 120
 
     def test_sxp_empty_lambda(self, cli_env):
         r = run_cli(["filter", "sxp", "-n", "2", "-l", "", "--candidates"], cli_env)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from schurkit.quotients import (
     _beta_set,
     _has_empty_core,
     _padded_length,
+    _partition_from_beta,
+    _quotient_walk,
     _rim_hooks,
 )
 
@@ -42,7 +45,7 @@ def _removal_parity(positions, n, pick):
 
 def _inversion_sign(beta, n):
     """The abacus sign by the inversion count between the beads' positions
-    and their keys, the quadratic reference for _abacus_sign's cycle count."""
+    and their keys, the quadratic reference for _abacus_sign's bit count."""
     rank = [0] * n
     keys = []
     for b in reversed(beta):
@@ -73,6 +76,57 @@ def _diagram_rim_hooks(mu, k):
         if seen == cells:
             out.append((nu.parts, (-1) ** (len({r for r, _ in cells}) - 1)))
     return sorted(out)
+
+
+def _parts_by_sorting(beads):
+    """Parts of any set of distinct bead positions, in any order: sorted
+    ascending, the i-th bead has b - i empty positions below it.  The
+    reference for _partition_from_beta, which reads descending beads as
+    they come."""
+    parts = [b - i for i, b in enumerate(sorted(beads)) if b > i]
+    return tuple(reversed(parts))
+
+
+def _quotients_inside(n, total, outer):
+    """Every n-tuple of part tuples inside ``outer`` with sizes summing to
+    ``total``, by brute force over all such tuples of partitions."""
+    inside = [
+        q.parts for size in range(total + 1) for q in all_partitions(size)
+        if P(outer).contains(q)
+    ]
+    tuples = itertools.product(inside, repeat=n)
+    return sorted(t for t in tuples if sum(map(sum, t)) == total)
+
+
+class TestPartitionFromBeta:
+    def test_matches_sort_reference(self):
+        rng = random.Random(19)
+        cases = [[]]
+        for _ in range(3000):
+            m = rng.randint(1, 30)
+            beads = rng.sample(range(2 * m + rng.randint(0, 20)), m)
+            cases.append(sorted(beads, reverse=True))
+        assert any(beads == list(range(len(beads) - 1, -1, -1)) for beads in cases[1:])
+        for beads in cases:
+            assert _partition_from_beta(beads) == _parts_by_sorting(beads), beads
+
+
+class TestQuotientWalk:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_brute_force(self, n):
+        # every yielded quotient once, and its beads give reconstruct's mu
+        checked = 0
+        for outer in [(), (1,), (2,), (1, 1), (2, 1), (3, 1, 1), (2, 2), (4, 4, 4, 4)]:
+            for total in range(6 if n < 4 else 5):
+                walk = list(_quotient_walk(n, total, outer))
+                got = [qs for qs, _ in walk]
+                assert sorted(got) == _quotients_inside(n, total, outer), (total, outer)
+                assert len(set(got)) == len(got)
+                for qs, beads in walk:
+                    mu = reconstruct(n, P(), [P(q) for q in qs])
+                    assert _partition_from_beta(sorted(beads, reverse=True)) == mu.parts
+                    checked += 1
+        assert checked > 40
 
 
 class TestRimHooks:

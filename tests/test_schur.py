@@ -552,6 +552,25 @@ class TestSchurPlethysm:
         assert schur_plethysm(P([3]), P()) == SchurExpansion.unit()
         assert schur_plethysm(P([2, 1]), P()) == SchurExpansion(0, {})
 
+    def test_no_walk_with_an_empty_factor(self, monkeypatch):
+        # each p_rho piece is folded from its first sxp factor, not the unit
+        import schurkit.schur
+
+        empty = []
+
+        def recording(inner, content, outer=None):
+            empty.append(not inner or not content)
+            return _lr_walk(inner, content, outer)
+
+        monkeypatch.setattr(schurkit.schur, "_lr_walk", recording)
+        for cached in (_pair_product, _power_plethysm, sxp_plethysm):
+            cached.cache_clear()
+        for mu in (P([2]), P([1, 1]), P([3]), P([2, 1]), P([2, 2])):
+            for nu in (P([1]), P([2]), P([1, 1]), P([2, 1])):
+                schur_plethysm(mu, nu)
+        assert len(empty) > 100
+        assert not any(empty)
+
     def test_remainder_raises(self, monkeypatch):
         # keep only the rho = (2) piece of s_2 o s_1: its weight
         # chi^(2)((2)) * 2!/z_(2) = 1 leaves 1/2 on s_2
