@@ -8,7 +8,7 @@ candidate that passes may still have coefficient zero.
 
 from __future__ import annotations
 
-from operator import add, ge
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .partitions import Partition, Point, _contains, minkowski_sum, outer_corners
@@ -151,23 +151,12 @@ def enumerate_candidates(n: int, lam: Partition) -> list[Partition]:
 
 
 def _candidate_parts(n: int, lam: Partition) -> list[tuple[int, ...]]:
-    """enumerate_candidates as part tuples, the form ``filter sxp`` prints.
-
-    The walk takes every component (|lam| rows of width |lam|) and places
-    each n-quotient of size |lam| with the empty core and |lam| + 1 beads
-    per runner, M in all, so size and core hold by construction; once its
-    beads are sorted, mu contains lam exactly when its k-th largest bead is
-    at least lam_k + M-1-k, and only then are its parts read off them.
-    """
+    """enumerate_candidates as part tuples, the form ``filter sxp`` prints:
+    the n-quotients of size |lam| with every component inside |lam| rows of
+    width |lam|, placed with the empty core, whose partitions contain lam."""
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
     if n == 1 or not lam:  # p_1 o s_lam = s_lam, p_n o s_() = s_(), and lam
         return [lam.parts]  # is the only mu of its size that contains lam
-    c = lam.size + 1  # the walk's beads per runner
-    need = [p + n * c - 1 - k for k, p in enumerate(lam)]
-    out = []
-    for _, beads in _quotient_walk(n, lam.size, (lam.size,) * lam.size):
-        beads.sort(reverse=True)
-        if all(map(ge, beads, need)):
-            out.append(_partition_from_beta(beads))
-    return sorted(out, reverse=True)
+    walk = _quotient_walk(n, lam.size, (lam.size,) * lam.size, lam.parts)
+    return sorted([_partition_from_beta(beads) for _, beads in walk], reverse=True)

@@ -15,17 +15,17 @@ Padding m by another multiple of n shifts every runner up uniformly and adds
 one bottom bead per runner, so the runner labelling, core and quotient are
 all independent of the padding.  Runner k carries quotient component k.
 
-The SXP index set lives here: ``_quotient_walk`` runs over n-quotients of
-int part tuples and places each with the empty core and one bead per runner
-more than the longest component may have parts.  Each caller sorts a bead
-set once, descending, and reads its answer off it: ``enumerate_candidates``
-walks every component (|lam| rows, so |lam| + 1 beads) and tests containment
-on the beads; ``sxp_plethysm`` walks only components inside lam
-(len(lam) + 1 beads) and reads mu and its sign off the beads.
+The SXP index set lives here, and so does the only knowledge of its bead
+layout: ``_quotient_walk`` runs over the n-quotients of int part tuples
+inside an outer shape, places each with the empty core, and hands back its
+beads in descending order, keeping only those whose partition contains a
+given inner shape.  A caller reads its answer off the beads with
+``_partition_from_beta`` and ``_abacus_sign``.
 """
 
 from __future__ import annotations
 
+from operator import ge
 from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import Partition
@@ -172,12 +172,16 @@ def reconstruct(n: int, core: Partition, quotient: Sequence[Partition]) -> Parti
 MAX_WALK_N = 256
 
 
-def _quotient_walk(n: int, total: int, outer: Sequence[int]) -> Iterator:
+def _quotient_walk(n: int, total: int, outer: Sequence[int],
+                   inner: Sequence[int] = ()) -> Iterator:
     """Every n-quotient of size ``total`` whose components fit inside
-    ``outer``, as part tuples, with the unsorted beads of the partition it
-    gives with the empty core.  Every runner holds c = len(outer) + 1 beads,
-    more than any component has parts, so a component's positions on
+    ``outer``, as part tuples, with the beads of the partition mu it gives
+    with the empty core, in descending order; only the quotients whose mu
+    contains ``inner`` are kept.  Every runner holds c = len(outer) + 1
+    beads, more than any component has parts, so a component's positions on
     runner i do not depend on the others: one table per call holds them.
+    With M = n * c beads in all, the k-th largest bead is mu_k + M-1-k, so mu
+    contains inner exactly when it is at least inner_k + M-1-k for every k.
     An n over MAX_WALK_N raises ValueError before the walk starts."""
     if n > MAX_WALK_N:
         raise ValueError(f"n = {n} is over the quotient walk's bound of {MAX_WALK_N}")
@@ -193,11 +197,15 @@ def _quotient_walk(n: int, total: int, outer: Sequence[int]) -> Iterator:
         nb = [n * b for b in _beta_set(q, c)]
         for i, row in enumerate(table):
             row[sum(q)].append((q, [b + i for b in nb]))
+    floor = [p + n * c - 1 - k for k, p in enumerate(inner)]
 
     def walk(i, left, qs, beads):
         if i == n - 1:
             for q, pos in table[i][left]:
-                yield qs + (q,), beads + pos
+                b = beads + pos
+                b.sort(reverse=True)
+                if not floor or all(map(ge, b, floor)):
+                    yield qs + (q,), b
             return
         for size in range(left + 1):
             for q, pos in table[i][size]:

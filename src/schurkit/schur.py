@@ -302,9 +302,9 @@ def sxp_plethysm(n: int, lam: Partition) -> SchurExpansion:
 
     Every mu in the support has empty n-core, and the pairing is 0 unless
     every quotient component fits inside lam, so the loop runs over those
-    n-quotients only (len(lam) + 1 beads per runner), coefficient first; a
-    nonzero term reads mu and its sign off its beads.  Character-free; cached
-    because plethysm assembly reuses the same pieces heavily.
+    n-quotients only, coefficient first; a nonzero term reads mu and its sign
+    off the walk's sorted beads.  Character-free; cached because plethysm
+    assembly reuses the same pieces heavily.
     """
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
@@ -316,9 +316,7 @@ def sxp_plethysm(n: int, lam: Partition) -> SchurExpansion:
         if factors not in coeffs:
             coeffs[factors] = _product_coefficient(lam.parts, factors)
         if coeffs[factors]:
-            beads.sort(reverse=True)
-            mu = _partition_from_beta(beads)
-            terms[mu] = coeffs[factors] * _abacus_sign(beads, n)
+            terms[_partition_from_beta(beads)] = coeffs[factors] * _abacus_sign(beads, n)
     return SchurExpansion._from_parts(n * lam.size, terms)
 
 

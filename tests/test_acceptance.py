@@ -27,8 +27,11 @@ from schurkit import (
     sxp_upper_bound,
     z_of,
 )
-from schurkit.schur import _pair_product, _power_plethysm
+from schurkit.schur import _pair_product, _power_plethysm, multi_schur_product
 from schurkit.verification import (
+    _plethysm_support_violation,
+    _product_support_violation,
+    _sxp_support_violation,
     check_plethysm,
     check_products,
     check_sxp,
@@ -177,6 +180,52 @@ def test_criterion_8_filter_soundness(sweep_reports):
     for scope in ("lr", "sxp", "plethysm"):
         r = sweep_reports[scope]
         assert r.ok, f"{scope}: {r.counterexample}"
+
+
+# the sweeps past the oracle: (cases, fast path, support check, case count)
+PAST_ORACLE = {
+    "lr": (  # |mu| + |nu| <= 15
+        lambda: (
+            (mu, nu) for a in range(16) for mu in all_partitions(a)
+            for b in range(16 - a) for nu in all_partitions(b)
+        ),
+        lambda mu, nu: multi_schur_product([mu, nu]),
+        _product_support_violation,
+        11523,
+    ),
+    "sxp": (  # n >= 2, |lam| >= 1, n|lam| <= 24
+        lambda: (
+            (n, lam) for n in range(2, 25)
+            for size in range(1, 24 // n + 1) for lam in all_partitions(size)
+        ),
+        sxp_plethysm,
+        _sxp_support_violation,
+        424,
+    ),
+    "plethysm": (  # |mu|, |nu| >= 1, |mu||nu| <= 13
+        lambda: (
+            (mu, nu) for a in range(1, 14) for mu in all_partitions(a)
+            for b in range(1, 13 // a + 1) for nu in all_partitions(b)
+        ),
+        schur_plethysm,
+        _plethysm_support_violation,
+        890,
+    ),
+}
+
+
+@pytest.mark.parametrize("scope", PAST_ORACLE)
+@criterion("8 soundness past the oracle: products <= 15, sxp <= 24 (n >= 2), plethysm <= 13")
+def test_criterion_8_filter_soundness_past_the_oracle(scope):
+    # the oracle stops at degree 15, the paper's filters need none: run the
+    # fast path and the sweep's own support check on degrees beyond it
+    cases, fast, check, count = PAST_ORACLE[scope]
+    checked = 0
+    for case in cases():
+        bad = check(*case, fast(*case)._parts)
+        assert bad is None, (scope, case, bad)
+        checked += 1
+    assert checked == count
 
 
 @criterion("9 structural round trips: abacus bijection, size formula, corners, orthogonality")

@@ -114,19 +114,28 @@ class TestPartitionFromBeta:
 class TestQuotientWalk:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_brute_force(self, n):
-        # every yielded quotient once, and its beads give reconstruct's mu
-        checked = 0
+        # every yielded quotient once, with strictly descending beads that give
+        # reconstruct's mu; a nonempty inner keeps exactly the quotients whose
+        # mu contains it, with Partition.contains as the reference
+        checked = dropped = 0
         for outer in [(), (1,), (2,), (1, 1), (2, 1), (3, 1, 1), (2, 2), (4, 4, 4, 4)]:
             for total in range(6 if n < 4 else 5):
-                walk = list(_quotient_walk(n, total, outer))
-                got = [qs for qs, _ in walk]
-                assert sorted(got) == _quotients_inside(n, total, outer), (total, outer)
-                assert len(set(got)) == len(got)
-                for qs, beads in walk:
-                    mu = reconstruct(n, P(), [P(q) for q in qs])
-                    assert _partition_from_beta(sorted(beads, reverse=True)) == mu.parts
-                    checked += 1
-        assert checked > 40
+                mus = {
+                    qs: reconstruct(n, P(), [P(q) for q in qs])
+                    for qs in _quotients_inside(n, total, outer)
+                }
+                for inner in [(), (1,), (2,), (1, 1), (2, 1), (3, 2), (2, 2, 1), (5, 5)]:
+                    walk = list(_quotient_walk(n, total, outer, inner))
+                    got = [qs for qs, _ in walk]
+                    want = [qs for qs, mu in mus.items() if mu.contains(P(inner))]
+                    assert sorted(got) == want, (total, outer, inner)
+                    assert len(set(got)) == len(got)
+                    for qs, beads in walk:
+                        assert all(a > b for a, b in zip(beads, beads[1:])), beads
+                        assert _partition_from_beta(beads) == mus[qs].parts
+                    checked += len(walk)
+                    dropped += len(mus) - len(walk)
+        assert checked > 40 and dropped > 20
 
 
 class TestRimHooks:
