@@ -67,11 +67,11 @@ def sxp_lower_check(lam: Sequence[int], mu: Sequence[int]) -> bool:
 def size_row_bound(total: int) -> Partition:
     """Row caps forced by size alone: a partition of ``total`` has r-th row
     of length at most total // r."""
-    return Partition(total // r for r in range(1, total + 1))
+    return Partition(_row_caps(total, Partition()))
 
 
-def _row_caps(n: int, lam: Partition) -> list[int]:
-    total = n * lam.size
+def _row_caps(total: int, lam: Partition) -> list[int]:
+    """A partition of total containing lam has row r <= (total - |lam below r|) / r."""
     caps = []
     tail = lam.size  # |(lam_{r+1}, lam_{r+2}, ...)| with r rows removed
     r = 0
@@ -95,8 +95,9 @@ def sxp_upper_bound(n: int, lam: Partition) -> BoundPair:
     """
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
-    xi1 = Partition(_row_caps(n, lam))
-    col_caps = _row_caps(n, lam.conjugate())
+    total = n * lam.size
+    xi1 = Partition(_row_caps(total, lam))
+    col_caps = _row_caps(total, lam.conjugate())
     xi2 = Partition(col_caps).conjugate()
     inter = Partition(
         min(xi1[i], xi2[i]) for i in range(min(len(xi1), len(xi2)))
@@ -108,14 +109,6 @@ def plethysm_filter_check(nu: Sequence[int], lam: Sequence[int]) -> bool:
     """Necessary for <s_lam, s_mu o s_nu> != 0 for any mu: [nu] must be
     contained in [lam].  Each argument is a Partition or a part tuple."""
     return _contains(lam, nu)
-
-
-def _is_single_row(p: Partition) -> bool:
-    return len(p) <= 1
-
-
-def _is_single_column(p: Partition) -> bool:
-    return p[0] <= 1
 
 
 def trivial_sign_multiplicity(mu: Partition, nu: Partition) -> tuple[int, int]:
@@ -131,9 +124,9 @@ def trivial_sign_multiplicity(mu: Partition, nu: Partition) -> tuple[int, int]:
     if not mu:
         # s_() o s_nu is the constant 1 and both readings see coefficient 1
         return (1, 1)
-    trivial = 1 if _is_single_row(mu) and _is_single_row(nu) else 0
-    if _is_single_column(nu):
-        wanted = _is_single_column(mu) if nu.size % 2 else _is_single_row(mu)
+    trivial = 1 if len(mu) <= 1 and len(nu) <= 1 else 0
+    if nu[0] <= 1:
+        wanted = mu[0] <= 1 if nu.size % 2 else len(mu) <= 1
         sign = 1 if wanted else 0
     else:
         sign = 0

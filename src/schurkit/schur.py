@@ -23,7 +23,7 @@ from math import factorial
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .partitions import Partition, all_partitions
+from .partitions import Partition, _contains, all_partitions
 from .quotients import _abacus_sign, _partition_from_beta, _quotient_walk, _rim_hooks
 
 
@@ -144,9 +144,7 @@ def _lr_walk(
     row that takes the strip's last cell records the leaf or opens the next
     letter itself; most of the calls of a row-by-row walk placed nothing.
     """
-    if outer is not None and (
-        len(inner) > len(outer) or any(a > b for a, b in zip(inner, outer))
-    ):
+    if outer is not None and not _contains(outer, inner):
         return {}
     if not content:
         return {inner: 1}
@@ -283,8 +281,6 @@ def _product_coefficient(lam: tuple, factors: Iterable[tuple]) -> int:
     fs = sorted((f for f in factors if f), key=sum, reverse=True)
     if not fs:
         return 1 if not lam else 0
-    if sum(map(sum, fs)) != sum(lam):
-        return 0
     current = {fs[0]: 1}
     for f in fs[1:]:
         nxt: dict[tuple[int, ...], int] = defaultdict(int)

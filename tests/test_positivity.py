@@ -111,6 +111,8 @@ class TestSxpBounds:
 
     def test_size_only_bound(self):
         assert size_row_bound(10) == P([10, 5, 3, 2, 2, 1, 1, 1, 1, 1])
+        for t in range(41):
+            assert size_row_bound(t) == P(t // r for r in range(1, t + 1)), t
 
     def test_identity_exponent_contains_lambda(self):
         for n in range(7):

@@ -51,6 +51,9 @@ class TestLRCoefficient:
 
     def test_size_mismatch(self):
         assert lr_coefficient(P([3]), P([1]), P([1])) == 0
+        # no shape inside lam has another size, so the bounded fold reads 0
+        assert _product_coefficient((3, 1), ((2,), (1,))) == 0
+        assert _product_coefficient((2,), ((2,), (1,))) == 0
 
     def test_multiplicity_two(self):
         # smallest classical multiplicity-2 case, from s_{2,1} * s_{2,1}
@@ -216,6 +219,8 @@ class TestLRWalkProperties:
             box = P(outer)
             inside = {lam: c for lam, c in full.items() if box.contains(P(lam))}
             assert _lr_walk(mu, nu, outer) == inside, (mu, nu, outer)
+            # c^lam_{nu,mu} = c^lam_{mu,nu}; every fourth outer misses nu
+            assert _lr_walk(nu, mu, outer) == inside, (nu, mu, outer)
             kept += 0 < len(inside) < len(full)
             short += len(outer) < len(nu)
         assert kept >= 100 and short >= 60
@@ -337,6 +342,24 @@ class TestCharacter:
                 for rho in ps:
                     total += Fraction(chi[mu, rho] * chi[nu, rho], z_of(rho))
                 assert total == (1 if mu == nu else 0)
+
+    def test_table_and_character_match_lr_power_sums(self):
+        # p_k is the alternating sum of the k-hooks (Macdonald I.3 Ex. 11) and
+        # chi^lam(rho) is the coefficient of s_lam in p_rho (I.7); the products
+        # run through the LR walk, which shares no code with quotients._rim_hooks
+        def p(k):
+            return SchurExpansion(k, {P([k - a] + [1] * a): (-1) ** a for a in range(k)})
+
+        for n in range(11):
+            parts, index, rows, _ = _table(n)
+            for j, rho in enumerate(parts):
+                p_rho = SchurExpansion.unit()
+                for k in rho:
+                    p_rho = schur_product(p_rho, p(k))
+                for lam in parts:
+                    chi = p_rho.coefficient(lam)
+                    assert rows[index[lam.parts]][j] == chi, (lam, rho)
+                    assert character(lam, rho) == chi, (lam, rho)
 
     def test_table_memo_agrees_with_fresh(self):
         # two derivations of Murnaghan-Nakayama: the oracle grows each table

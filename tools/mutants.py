@@ -1,0 +1,256 @@
+"""Mutation checks: each mutant is a one-place fault that named tests must catch.
+
+Every row of MUTANTS is (file under src/schurkit/, exact old text, new text,
+target tests).  Each old text must occur exactly once in its file, so a
+refactor that moves the code fails here rather than skipping the mutant.
+
+The script copies src/ and tests/ into a temporary directory and runs the
+targets there once unmutated; they must pass.  Then, one mutant at a time, it
+writes the edit into the copy, runs ``python -m pytest -x -q <targets>`` in a
+subprocess under TIMEOUT_S, and puts the file back.  A mutant is killed when
+that run fails or times out; one whose targets pass survived, which is a
+finding about the tests: strengthen them and keep the mutant.
+
+Run from the repository root, with pytest installed:
+
+    python tools/mutants.py
+
+Exits 1 if an anchor is missing or repeated, the unmutated run fails, or any
+mutant survives.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120
+
+SCHUR = "tests/test_schur.py"
+QUOT = "tests/test_quotients.py"
+POS = "tests/test_positivity.py"
+PART = "tests/test_partitions.py"
+
+MUTANTS = [
+    # --- schur.py: the LR walk and the SXP fold
+    ("schur.py",  # lattice cap plus 1
+     "            if slack < hi:\n                hi = slack\n",
+     "            if slack + 1 < hi:\n                hi = slack + 1\n",
+     [f"{SCHUR}::TestLRCoefficient"]),
+    ("schur.py",  # the row above caps a row one cell too loosely
+     "hi = above - old  #",
+     "hi = above - old + 1  #",
+     [f"{SCHUR}::TestLRCoefficient"]),
+    ("schur.py",  # outer cap removed
+     "if outer is not None and outer[r] - old < hi:",
+     "if False:",
+     [f"{SCHUR}::TestLRWalkProperties"]),
+    ("schur.py",  # lattice bookkeeping: the row's letter-k cells not counted
+     "gained = prev[r]",
+     "gained = 0",
+     [f"{SCHUR}::TestLRCoefficient"]),
+    ("schur.py",  # containment pre-check removed
+     "    if outer is not None and not _contains(outer, inner):\n        return {}\n",
+     "",
+     [f"{SCHUR}::TestLRWalkProperties"]),
+    ("schur.py",  # the fold reads every shape it reached, not lam alone
+     "return current.get(lam, 0)",
+     "return sum(current.values())",
+     [f"{SCHUR}::TestLRCoefficient::test_size_mismatch"]),
+    ("schur.py",  # z_of drops its run factor
+     "z *= part * run",
+     "z *= part",
+     [f"{SCHUR}::TestZ"]),
+    ("schur.py",  # rim-hook signs dropped in the character recursion
+     "total += sign * _character_rec(sub, rest, memo)",
+     "total += _character_rec(sub, rest, memo)",
+     [f"{SCHUR}::TestCharacter"]),
+    ("schur.py",  # n = 1 shortcut removed
+     "if n == 1 or not lam:  # p_1 o s_lam = s_lam, and p_n o s_() = s_()",
+     "if not lam:",
+     [f"{SCHUR}::TestSxpPlethysm::test_identity_exponent"]),
+    ("schur.py",  # quotient components inside lam minus its last row
+     "_quotient_walk(n, lam.size, lam.parts)",
+     "_quotient_walk(n, lam.size, lam.parts[:-1])",
+     [f"{SCHUR}::TestSxpPlethysm"]),
+    ("schur.py",  # |chi| for chi in the plethysm weights
+     "out.append((rho.parts, chi * (scale // z_of(rho))))",
+     "out.append((rho.parts, abs(chi) * (scale // z_of(rho))))",
+     [f"{SCHUR}::TestSchurPlethysm"]),
+    ("schur.py",  # remainder check removed
+     "        if rem:\n            raise NonIntegralResultError(\n"
+     '                f"coefficient of',
+     "        if False:\n            raise NonIntegralResultError(\n"
+     '                f"coefficient of',
+     [f"{SCHUR}::TestSchurPlethysm::test_remainder_raises"]),
+    ("schur.py",  # to_json_obj in ascending order
+     "for lam, c in sorted(self._parts.items(), reverse=True)\n",
+     "for lam, c in sorted(self._parts.items())\n",
+     [f"{SCHUR}::TestExpansionTypes"]),
+    ("schur.py",  # coefficient defaults to 1 off the support
+     "return self._parts.get(lam.parts, 0)",
+     "return self._parts.get(lam.parts, 1)",
+     [f"{SCHUR}::TestExpansionTypes"]),
+    # --- quotients.py: the abacus
+    ("quotients.py",  # rim-hook height parity flipped
+     "1 if (j - i) % 2 else -1",
+     "-1 if (j - i) % 2 else 1",
+     [f"{SCHUR}::TestCharacter::test_table_and_character_match_lr_power_sums"]),
+    ("quotients.py",  # abacus sign parity flipped
+     "return -1 if inversions % 2 else 1",
+     "return 1 if inversions % 2 else -1",
+     [f"{QUOT}::TestSxpSign"]),
+    ("quotients.py",  # containment floor skipped
+     "if not floor or all(map(ge, b, floor)):",
+     "if True:",
+     [f"{QUOT}::TestQuotientWalk"]),
+    ("quotients.py",  # containment floor one too high
+     "floor = [p + n * c - 1 - k for",
+     "floor = [p + n * c - k for",
+     [f"{QUOT}::TestQuotientWalk"]),
+    ("quotients.py",  # containment floor one too low
+     "floor = [p + n * c - 1 - k for",
+     "floor = [p + n * c - 2 - k for",
+     [f"{QUOT}::TestQuotientWalk"]),
+    ("quotients.py",  # leaf beads left unsorted
+     "                b.sort(reverse=True)\n",
+     "",
+     [f"{QUOT}::TestQuotientWalk"]),
+    ("quotients.py",  # a wrong runner shift in the walk's table
+     "[b + i for b in nb]",
+     "[b + n - 1 - i for b in nb]",
+     [f"{QUOT}::TestQuotientWalk"]),
+    ("quotients.py",  # empty-core test loosened to one full runner
+     "return all(runners.count(i) == m // n for i in range(n))",
+     "return any(runners.count(i) == m // n for i in range(n))",
+     [f"{QUOT}::TestAbacusTuples"]),
+    ("quotients.py",  # a zero part kept when reading beads
+     "if b > k])",
+     "if b >= k])",
+     [f"{QUOT}::TestPartitionFromBeta"]),
+    ("quotients.py",  # reconstruct accepts a core with a removable hook
+     "if _rim_hooks(core.parts, n):",
+     "if False:",
+     [f"{QUOT}::TestReconstruct"]),
+    # --- positivity.py: the paper's filters
+    ("positivity.py",  # lr_bound takes max, not min
+     "rows = tuple(min(map(add,",
+     "rows = tuple(max(map(add,",
+     [f"{POS}::TestLrBound"]),
+    ("positivity.py",  # row caps divide by r + 1
+     "cap = (total - tail) // r",
+     "cap = (total - tail) // (r + 1)",
+     [f"{POS}::TestSxpBounds"]),
+    ("positivity.py",  # intersection takes max, not min
+     "min(xi1[i], xi2[i])",
+     "max(xi1[i], xi2[i])",
+     [f"{POS}::TestSxpBounds"]),
+    ("positivity.py",  # single-column test nu[0] <= 1 -> nu[0] < 1
+     "if nu[0] <= 1:",
+     "if nu[0] < 1:",
+     [f"{POS}::TestTrivialSign"]),
+    ("positivity.py",  # full row needs only one single-row factor
+     "1 if len(mu) <= 1 and len(nu) <= 1 else 0",
+     "1 if len(mu) <= 1 or len(nu) <= 1 else 0",
+     [f"{POS}::TestTrivialSign"]),
+    ("positivity.py",  # sxp_lower_check refuses mu with 4+ rows
+     "return _contains(mu, lam)",
+     "return _contains(mu, lam) and len(mu) < 4",
+     [f"{POS}::TestSxpBounds"]),
+    ("positivity.py",  # plethysm_filter_check refuses lam with 5+ rows
+     "return _contains(lam, nu)",
+     "return _contains(lam, nu) and len(lam) < 5",
+     [f"{POS}::TestPlethysmFilter"]),
+    ("positivity.py",  # candidates left unsorted
+     "return sorted([_partition_from_beta(beads) for _, beads in walk], reverse=True)",
+     "return [_partition_from_beta(beads) for _, beads in walk]",
+     [f"{POS}::TestEnumerateCandidates"]),
+    # --- partitions.py
+    ("partitions.py",  # dominance skips the first row
+     "return not any(map(lt, accumulate(upper), accumulate(lower)))",
+     "return not any(map(lt, list(accumulate(upper))[1:], list(accumulate(lower))[1:]))",
+     [f"{PART}::TestDominance"]),
+    ("partitions.py",  # containment lets inner have one row too many
+     "return len(inner) <= len(outer) and",
+     "return len(inner) <= len(outer) + 1 and",
+     [f"{PART}::TestContains"]),
+    ("partitions.py",  # conjugate drops its longest column
+     "heights = range(len(self._parts), 0, -1)",
+     "heights = range(len(self._parts) - 1, 0, -1)",
+     [f"{PART}::TestConjugate"]),
+    ("partitions.py",  # partitions_of refills one cell short
+     "q, r = divmod(ones + 1, cap)",
+     "q, r = divmod(ones, cap)",
+     [f"{PART}::TestGenerators"]),
+    ("partitions.py",  # ideal complement reads only generators strictly above
+     "if p.r <= r) for r in range(first_empty_row)",
+     "if p.r < r) for r in range(first_empty_row)",
+     [f"{PART}::TestIdealComplement"]),
+    # --- oracle.py
+    ("oracle.py",  # p_n o p_rho keeps the parts unstretched
+     "return {tuple(n * part for part in rho): c for rho, c in a.items()}",
+     "return {tuple(part for part in rho): c for rho, c in a.items()}",
+     ["tests/test_oracle.py::TestPowerBasisAlgebra"]),
+    ("oracle.py",  # class sizes off: n!/z_rho replaced by n!
+     "sizes = tuple(factorial(n) // z_of(rho) for rho in parts)",
+     "sizes = tuple(factorial(n) for rho in parts)",
+     ["tests/test_oracle.py::TestOracleProduct"]),
+]
+
+
+def _pytest(cwd: Path, targets: list[str]) -> tuple[str, float]:
+    """'pass', 'fail' or 'timeout' for the targets run on the copy at cwd."""
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *targets]
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - start
+    return ("pass" if proc.returncode == 0 else "fail"), time.perf_counter() - start
+
+
+def main() -> int:
+    sources = {}
+    for i, (name, old, _, _) in enumerate(MUTANTS):
+        text = sources.setdefault(name, (ROOT / "src/schurkit" / name).read_text())
+        if text.count(old) != 1:
+            print(f"mutant {i}: {name}: the old text occurs {text.count(old)} times"
+                  f" (must be once): {old!r}")
+            return 1
+    with tempfile.TemporaryDirectory(prefix="schurkit-mutants-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        targets = sorted({t for *_, ts in MUTANTS for t in ts})
+        status, secs = _pytest(copy, targets)
+        print(f"unmutated: {status} in {secs:.1f}s", flush=True)
+        if status != "pass":
+            return 1
+        survivors = 0
+        for i, (name, old, new, ts) in enumerate(MUTANTS):
+            path = copy / "src/schurkit" / name
+            path.write_text(sources[name].replace(old, new))
+            try:
+                status, secs = _pytest(copy, ts)
+            finally:
+                path.write_text(sources[name])
+            killed = status != "pass"
+            survivors += not killed
+            label = f"killed ({status})" if killed else "SURVIVED"
+            first = old.strip().splitlines()[0]
+            print(f"mutant {i:2d}: {label:16s} {secs:5.1f}s  {name}: {first}", flush=True)
+        print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
