@@ -250,10 +250,10 @@ def z_of(rho: Partition) -> int:
 
 def _character_rec(mu: tuple[int, ...], rho: tuple[int, ...], memo: dict) -> int:
     """Murnaghan-Nakayama recursion on rho's largest part first, over the subs
-    that quotients._rim_hooks leaves; the oracle's tables take the same step
-    on the smallest part, and its docstring names the tests that guard it."""
+    that quotients._rim_hooks leaves.  Every caller passes |mu| = |rho| and each
+    step removes rho[0] cells, so mu is empty exactly when rho is."""
     if not rho:
-        return 1 if not mu else 0
+        return 1
     key = (mu, rho)
     cached = memo.get(key)
     if cached is not None:

@@ -41,27 +41,24 @@ def _expansion_mismatch(fast: SchurExpansion, slow: SchurExpansion) -> dict | No
     if fast == slow:
         return None
     diff = {}
-    for lam in fast.support() | slow.support():
-        a, b = fast.coefficient(lam), slow.coefficient(lam)
+    for lam in {**fast._parts, **slow._parts}:
+        a, b = fast._parts.get(lam, 0), slow._parts.get(lam, 0)
         if a != b:
-            diff[str(lam.to_list())] = [a, b]
+            diff[str(list(lam))] = [a, b]
     return {"kind": "oracle mismatch", "diff_fast_vs_oracle": diff}
 
 
 def _sweep(scope: str, cases, fast, oracle, check, names: tuple[str, ...]) -> SweepReport:
     """Count each case, compare fast(*case) with oracle(*case) and run
-    check(*case, terms) on the fast terms (part tuple -> coefficient); the
-    first counterexample, labelled with the case under ``names``, stops it."""
+    check(*case, terms) on the fast expansion's own dict, in the kernel's order;
+    the first counterexample, labelled with the case under ``names``, stops it."""
     report = SweepReport(scope)
     for case in cases:
         report.cases += 1
         expansion = fast(*case)
         bad = _expansion_mismatch(expansion, oracle(*case))
         if bad is None:
-            # a set built item by item walks the terms in support()'s order, so
-            # of several bad terms the one named is the one support() meets first
-            support = frozenset(iter(expansion._parts))
-            bad = check(*case, dict(zip(support, map(expansion._parts.get, support))))
+            bad = check(*case, expansion._parts)
         if bad is not None:
             for name, arg in zip(names, case):
                 bad[name] = arg.to_list() if isinstance(arg, Partition) else arg

@@ -184,14 +184,14 @@ def test_criterion_8_filter_soundness(sweep_reports):
 
 # the sweeps past the oracle: (cases, fast path, support check, case count)
 PAST_ORACLE = {
-    "lr": (  # |mu| + |nu| <= 15
+    "lr": (  # |mu| + |nu| <= 16
         lambda: (
-            (mu, nu) for a in range(16) for mu in all_partitions(a)
-            for b in range(16 - a) for nu in all_partitions(b)
+            (mu, nu) for a in range(17) for mu in all_partitions(a)
+            for b in range(17 - a) for nu in all_partitions(b)
         ),
         lambda mu, nu: multi_schur_product([mu, nu]),
         _product_support_violation,
-        11523,
+        17345,
     ),
     "sxp": (  # n >= 2, |lam| >= 1, n|lam| <= 24
         lambda: (
@@ -215,7 +215,7 @@ PAST_ORACLE = {
 
 
 @pytest.mark.parametrize("scope", PAST_ORACLE)
-@criterion("8 soundness past the oracle: products <= 15, sxp <= 24 (n >= 2), plethysm <= 13")
+@criterion("8 soundness past the oracle: products <= 16, sxp <= 24 (n >= 2), plethysm <= 13")
 def test_criterion_8_filter_soundness_past_the_oracle(scope):
     # the oracle stops at degree 15, the paper's filters need none: run the
     # fast path and the sweep's own support check on degrees beyond it

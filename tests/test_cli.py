@@ -173,6 +173,17 @@ class TestExpand:
             assert (code, out) == (2, "")
             assert err == f"error: n = {n} is over the quotient walk's bound of {MAX_WALK_N}\n"
 
+    @pytest.mark.parametrize("command", [
+        ["expand", "sxp"],
+        ["filter", "sxp"],
+        ["filter", "sxp", "--candidates"],
+    ], ids=["expand", "filter", "filter-candidates"])
+    def test_sxp_exponent_below_one_exit_2(self, command):
+        for n in (0, -3):
+            code, out, err = run_in_process([*command, "-n", str(n), "-l", "1"])
+            assert (code, out) == (2, "")
+            assert err == "error: plethysm exponent n must be >= 1\n"
+
     def test_product_too_deep_exit_2(self, cli_env):
         # the LR walk nests a frame per letter, so 990 letters pass the
         # recursion limit; main refuses the input in one line, at once
@@ -378,6 +389,37 @@ class TestVerify:
         assert (bad["mu"], bad["nu"]) == ([], [])
         assert bad["diff_fast_vs_oracle"] == {"[]": [0, 1]}
 
+    def test_mismatch_lists_fast_terms_then_oracle_extras(self, monkeypatch):
+        import schurkit.verification as v
+        from schurkit.schur import SchurExpansion
+
+        # s_2 * s_1 = s_3 + s_21; the injected answer has s_21 twice and an
+        # s_111 the oracle lacks, and misses s_3
+        wrong = SchurExpansion(3, {Partition([2, 1]): 2, Partition([1, 1, 1]): 1})
+        fast = v.multi_schur_product
+        monkeypatch.setattr(v, "multi_schur_product", lambda factors: wrong if [
+            f.parts for f in factors] == [(2,), (1,)] else fast(factors))
+        code, out, _ = run_in_process(["verify", "--scope", "lr", "--max", "3"])
+        assert code == 1
+        bad = json.loads(out)["output"]["counterexample"]
+        assert (bad["kind"], bad["mu"], bad["nu"]) == ("oracle mismatch", [2], [1])
+        assert list(bad["diff_fast_vs_oracle"].items()) == [
+            ("[2, 1]", [2, 1]), ("[1, 1, 1]", [1, 0]), ("[3]", [0, 1]),
+        ]
+
+    def test_budget_checked_at_every_degree(self, monkeypatch):
+        import schurkit.verification as v
+
+        # p(1)^2 = 1 entry fits a budget of 3, p(2)^2 = 4 does not
+        monkeypatch.setattr(v, "ORACLE_TABLE_BUDGET", 3)
+        assert [r.ok for r in run_scope("lr", 1)] == [True]
+        with pytest.raises(ValueError, match=r"p\(2\) = 2, 4 entries, over the budget of 3"):
+            run_scope("lr", 2)
+
+    def test_unknown_scope_raises(self):
+        with pytest.raises(ValueError, match="unknown scope 'bogus'"):
+            run_scope("bogus", 2)
+
     def test_case_counts_pinned(self):
         # the cases each sweep counts at --max 0..10, so a sweep loop that
         # drops or double-counts a case shows here
@@ -457,14 +499,14 @@ INJECTED = [
     pytest.param("plethysm", ((1,), (2,)), 2, {(2,): 2},
                  {"kind": "trivial/sign closed form mismatch", "extracted": [2, 0],
                   "closed_form": [1, 0], "mu": [1], "nu": [2]}, id="closed-form"),
-    # several terms break the bounds; the sweep names the first in support()
-    # order, here neither the first inserted nor the least nor the greatest
+    # several terms break the bounds; the sweep names the first in the order
+    # the fast path produced them, which for an injected expansion is insertion
     pytest.param("lr", ((2,), (1, 1)), 4, {(2, 2): 1, (1, 1, 1, 1): 1},
-                 {"kind": "dominance bound violated", "lam": [1, 1, 1, 1],
+                 {"kind": "minkowski bound violated", "lam": [2, 2],
                   "mu": [2], "nu": [1, 1]}, id="two-terms"),
     pytest.param("sxp", (2, (3,)), 6,
                  {(2, 2, 2): 1, (2, 1, 1, 1, 1): 1, (1, 1, 1, 1, 1, 1): 1},
-                 {"kind": "lower bound violated", "mu": [2, 1, 1, 1, 1],
+                 {"kind": "lower bound violated", "mu": [2, 2, 2],
                   "n": 2, "lam": [3]}, id="three-terms"),
 ]
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from schurkit import (
     Partition,
     SchurExpansion,
@@ -54,6 +56,11 @@ class TestOracleProduct:
 
 
 class TestOraclePlethysm:
+    def test_power_exponent_below_one(self):
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="exponent n must be >= 1"):
+                oracle_power_plethysm(n, P([1]))
+
     def test_identity(self):
         for nu in all_partitions(4):
             assert oracle_plethysm(P([1]), nu) == single(nu)

@@ -75,6 +75,9 @@ class TestConstruction:
         assert lam.size == 5
         assert lam[0] == 3 and lam[1] == 2 and lam[2] == 0 and lam[99] == 0
         assert len(lam) == 2
+        for row in (-1, -3):
+            with pytest.raises(IndexError, match="non-negative"):
+                P([2])[row]
         assert not P()
         assert lam
 

@@ -40,6 +40,8 @@ class TestLrBound:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             lr_bound([])
+        with pytest.raises(ValueError, match="at least one factor"):
+            corner_sum([])
 
     def test_matches_ideal_complement_of_corner_sum(self):
         # the min-plus convolution against the ideal-complement reading, on
@@ -89,6 +91,12 @@ class TestLrBound:
 
 
 class TestSxpBounds:
+    def test_exponent_below_one(self):
+        for bound in (sxp_upper_bound, enumerate_candidates):
+            for n in (0, -2):
+                with pytest.raises(ValueError, match="exponent n must be >= 1"):
+                    bound(n, P([1]))
+
     def test_lower_check_examples(self):
         assert sxp_lower_check(P([3, 2]), P([6, 4]))
         assert not sxp_lower_check(P([3, 2]), P([10]))

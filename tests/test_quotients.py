@@ -158,6 +158,13 @@ class TestDecompose:
         assert d.quotient == (P(), P())
         assert d.sign is None
 
+    def test_modulus_below_one(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="modulus n must be >= 1"):
+                decompose(P([1]), n)
+            with pytest.raises(ValueError, match="modulus n must be >= 1"):
+                reconstruct(n, P(), ())
+
     def test_two_by_two(self):
         d = decompose(P([2, 2]), 2)
         assert d.core == P()

@@ -289,6 +289,11 @@ class TestExpansionTypes:
         assert keys == sorted(keys, reverse=True)
         assert keys[0] == (6, 4)
 
+    def test_repr_lists_sorted_terms(self):
+        e = SchurExpansion(3, {P([2, 1]): 2, P([1, 1, 1]): -1, P([3]): 1})
+        assert repr(e) == "SchurExpansion(degree=3, 1*s[3] + 2*s[2, 1] + -1*s[1, 1, 1])"
+        assert repr(SchurExpansion(2, {})) == "SchurExpansion(degree=2, 0)"
+
     def test_json_coeffs_are_strings(self):
         obj = single(P([2, 1])).to_json_obj()
         assert obj == {"degree": 3, "terms": [{"partition": [2, 1], "coeff": "1"}]}

@@ -36,6 +36,9 @@ SCHUR = "tests/test_schur.py"
 QUOT = "tests/test_quotients.py"
 POS = "tests/test_positivity.py"
 PART = "tests/test_partitions.py"
+ORACLE = "tests/test_oracle.py"
+CLI = "tests/test_cli.py"
+INJECTED = f"{CLI}::TestInjectedViolations"
 
 MUTANTS = [
     # --- schur.py: the LR walk and the SXP fold
@@ -97,6 +100,19 @@ MUTANTS = [
      "return self._parts.get(lam.parts, 0)",
      "return self._parts.get(lam.parts, 1)",
      [f"{SCHUR}::TestExpansionTypes"]),
+    ("schur.py",  # the character recursion's base case reads 0
+     "    if not rho:\n        return 1\n",
+     "    if not rho:\n        return 0\n",
+     [f"{SCHUR}::TestCharacter"]),
+    ("schur.py",  # sxp_plethysm accepts an exponent below 1
+     "    if n < 1:\n        raise ValueError(\"plethysm exponent n must be >= 1\")\n    if n == 1",
+     "    if False:\n        raise ValueError(\"plethysm exponent n must be >= 1\")\n    if n == 1",
+     [f"{SCHUR}::TestSxpPlethysm::test_bad_exponent",
+      f"{CLI}::TestExpand::test_sxp_exponent_below_one_exit_2"]),
+    ("schur.py",  # repr of the zero expansion has an empty body
+     "{body or '0'}",
+     "{body}",
+     [f"{SCHUR}::TestExpansionTypes::test_repr_lists_sorted_terms"]),
     # --- quotients.py: the abacus
     ("quotients.py",  # rim-hook height parity flipped
      "1 if (j - i) % 2 else -1",
@@ -134,6 +150,14 @@ MUTANTS = [
      "if b > k])",
      "if b >= k])",
      [f"{QUOT}::TestPartitionFromBeta"]),
+    ("quotients.py",  # decompose accepts a modulus below 1
+     "    if n < 1:\n        raise ValueError(\"modulus n must be >= 1\")\n    m = ",
+     "    if False:\n        raise ValueError(\"modulus n must be >= 1\")\n    m = ",
+     [f"{QUOT}::TestDecompose::test_modulus_below_one"]),
+    ("quotients.py",  # reconstruct accepts a modulus below 1
+     "    if n < 1:\n        raise ValueError(\"modulus n must be >= 1\")\n    if len(",
+     "    if False:\n        raise ValueError(\"modulus n must be >= 1\")\n    if len(",
+     [f"{QUOT}::TestDecompose::test_modulus_below_one"]),
     ("quotients.py",  # reconstruct accepts a core with a removable hook
      "if _rim_hooks(core.parts, n):",
      "if False:",
@@ -167,11 +191,28 @@ MUTANTS = [
      "return _contains(lam, nu)",
      "return _contains(lam, nu) and len(lam) < 5",
      [f"{POS}::TestPlethysmFilter"]),
+    ("positivity.py",  # corner_sum of no factors
+     "    if not mus:\n        raise ValueError(\"corner_sum",
+     "    if False:\n        raise ValueError(\"corner_sum",
+     [f"{POS}::TestLrBound::test_empty_list_rejected"]),
+    ("positivity.py",  # sxp_upper_bound accepts an exponent below 1
+     "    if n < 1:\n        raise ValueError(\"plethysm exponent n must be >= 1\")\n    total",
+     "    if False:\n        raise ValueError(\"plethysm exponent n must be >= 1\")\n    total",
+     [f"{POS}::TestSxpBounds::test_exponent_below_one",
+      f"{CLI}::TestExpand::test_sxp_exponent_below_one_exit_2"]),
+    ("positivity.py",  # the candidate walk accepts an exponent below 1
+     "    if n < 1:\n        raise ValueError(\"plethysm exponent n must be >= 1\")\n    if n == 1",
+     "    if False:\n        raise ValueError(\"plethysm exponent n must be >= 1\")\n    if n == 1",
+     [f"{POS}::TestSxpBounds::test_exponent_below_one"]),
     ("positivity.py",  # candidates left unsorted
      "return sorted([_partition_from_beta(beads) for _, beads in walk], reverse=True)",
      "return [_partition_from_beta(beads) for _, beads in walk]",
      [f"{POS}::TestEnumerateCandidates"]),
     # --- partitions.py
+    ("partitions.py",  # a negative row index reads from the end
+     "if row < 0:",
+     "if False:",
+     [f"{PART}::TestConstruction::test_size_and_indexing"]),
     ("partitions.py",  # dominance skips the first row
      "return not any(map(lt, accumulate(upper), accumulate(lower)))",
      "return not any(map(lt, list(accumulate(upper))[1:], list(accumulate(lower))[1:]))",
@@ -196,11 +237,73 @@ MUTANTS = [
     ("oracle.py",  # p_n o p_rho keeps the parts unstretched
      "return {tuple(n * part for part in rho): c for rho, c in a.items()}",
      "return {tuple(part for part in rho): c for rho, c in a.items()}",
-     ["tests/test_oracle.py::TestPowerBasisAlgebra"]),
+     [f"{ORACLE}::TestPowerBasisAlgebra"]),
     ("oracle.py",  # class sizes off: n!/z_rho replaced by n!
      "sizes = tuple(factorial(n) // z_of(rho) for rho in parts)",
      "sizes = tuple(factorial(n) for rho in parts)",
-     ["tests/test_oracle.py::TestOracleProduct"]),
+     [f"{ORACLE}::TestOracleProduct"]),
+    ("oracle.py",  # the oracle's p_n o s_lam accepts an exponent below 1
+     "    if n < 1:",
+     "    if False:",
+     [f"{ORACLE}::TestOraclePlethysm::test_power_exponent_below_one"]),
+    # --- verification.py: each support check, the sweep loop and run_scope
+    ("verification.py",  # dominance check passes always
+     "if not (_dominates(top, lam) and _dominates(lam, bottom)):",
+     "if False:",
+     [INJECTED]),
+    ("verification.py",  # Minkowski bound check passes always
+     "if not _contains(bound, lam):",
+     "if False:",
+     [INJECTED]),
+    ("verification.py",  # SXP lower bound check passes always
+     "if not sxp_lower_check(lam.parts, mu):",
+     "if False:",
+     [INJECTED]),
+    ("verification.py",  # SXP upper bound check passes always
+     "if not _contains(upper, mu):",
+     "if False:",
+     [INJECTED]),
+    ("verification.py",  # empty-core check passes always
+     "if not _has_empty_core(mu, n):",
+     "if False:",
+     [INJECTED]),
+    ("verification.py",  # containment filter check passes always
+     "if not plethysm_filter_check(nu.parts, lam):",
+     "if False:",
+     [INJECTED]),
+    ("verification.py",  # trivial/sign closed form check passes always
+     "if closed_form != extracted:",
+     "if False:",
+     [INJECTED]),
+    ("verification.py",  # every fast answer equals the oracle's
+     "if fast == slow:",
+     "if True:",
+     [f"{CLI}::TestVerify::test_failed_sweep_exit_1"]),
+    ("verification.py",  # the mismatch diff walks the oracle's terms first
+     "{**fast._parts, **slow._parts}",
+     "{**slow._parts, **fast._parts}",
+     [f"{CLI}::TestVerify::test_mismatch_lists_fast_terms_then_oracle_extras"]),
+    ("verification.py",  # the checks read the terms in reversed order
+     "bad = check(*case, expansion._parts)",
+     "bad = check(*case, dict(reversed(expansion._parts.items())))",
+     [INJECTED]),
+    ("verification.py",  # the pinned statistic compare passes always
+     "if stats != (231, 142, 40):",
+     "if False:",
+     [f"{INJECTED}::test_pinned_statistic_fires"]),
+    ("verification.py",  # the oracle-table budget never refuses
+     "if p * p > ORACLE_TABLE_BUDGET:",
+     "if False:",
+     [f"{CLI}::TestVerify::test_budget_checked_at_every_degree"]),
+    ("verification.py",  # an unknown scope passes through to a KeyError
+     "    if scope not in sweeps:\n        raise ValueError(f\"unknown scope {scope!r}\")\n",
+     "",
+     [f"{CLI}::TestVerify::test_unknown_scope_raises"]),
+    # --- cli.py
+    ("cli.py",  # main exits 0 on a failed verify
+     'return FAILURE if output.get("status") == "fail" else 0',
+     "return 0",
+     [f"{CLI}::TestVerify::test_failed_sweep_exit_1"]),
 ]
 
 
