@@ -19,13 +19,16 @@ The SXP index set lives here, and so does the only knowledge of its bead
 layout: ``_quotient_walk`` runs over the n-quotients of int part tuples
 inside an outer shape, places each with the empty core, and hands back its
 beads in descending order, keeping only those whose partition contains a
-given inner shape.  A caller reads its answer off the beads with
-``_partition_from_beta`` and ``_abacus_sign``.
+given inner shape.  Its table shares the bottom run of beads below the
+shapes of one row count, and the last two runners share one frame.  A
+caller reads its answer off the beads with ``_partition_from_beta`` and
+``_abacus_sign``.
 """
 
 from __future__ import annotations
 
-from operator import ge
+from itertools import takewhile
+from operator import ge, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import Partition
@@ -60,10 +63,10 @@ def _beta_set(mu: Partition | tuple[int, ...], m: int) -> list[int]:
 
 
 def _partition_from_beta(beta: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of _beta_set for distinct bead positions in descending order,
-    as a plain tuple of parts without trailing zeros: a bead's part is the
-    number of empty positions below it.  The beads are not sorted here."""
-    return tuple([b - k for b, k in zip(beta, range(len(beta) - 1, -1, -1)) if b > k])
+    """Inverse of _beta_set for distinct bead positions in descending order:
+    a bead's part is the number of empty positions below it, and parts fall,
+    so the tuple ends before the first zero.  The beads are not sorted here."""
+    return tuple(list(takewhile(bool, map(sub, beta, range(len(beta) - 1, -1, -1)))))
 
 
 def _rim_hooks(mu: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], int]]:
@@ -127,15 +130,18 @@ def _abacus_sign(beta: Sequence[int], n: int) -> int:
     move over h beads is h transpositions of the bead order and never passes
     a bead on its own runner, so the height has the parity of the inversions
     of the permutation from the beads' positions to their keys.  From the
-    top, runner r's keys fall from m-n+r by n; one bit per key seen counts
-    the beads above that are in order."""
+    top, runner r's keys fall from m-n+r by n; bead i inverts with the i beads
+    above it less those in order, one bit per key seen.  Once bead i sits at
+    m-1-i, it and all below fill the bottom at their own keys: no inversions."""
     m = len(beta)
     keys = list(range(m - n, m))  # each runner's next key from the top
-    seen, inversions = 0, m * (m - 1) // 2
-    for b in beta:
+    seen = inversions = 0
+    for i, b in enumerate(beta):
+        if b == m - 1 - i:
+            break
         k = keys[b % n]
         keys[b % n] = k - n
-        inversions -= (seen >> k).bit_count()
+        inversions += i - (seen >> k).bit_count()
         seen |= 1 << k
     return -1 if inversions % 2 else 1
 
@@ -179,37 +185,45 @@ def _quotient_walk(n: int, total: int, outer: Sequence[int],
     with the empty core, in descending order; only the quotients whose mu
     contains ``inner`` are kept.  Every runner holds c = len(outer) + 1
     beads, more than any component has parts, so a component's positions on
-    runner i do not depend on the others: one table per call holds them.
+    runner i do not depend on the others: one table per call holds them, its
+    parts' beads (grown row by row) and then the run below, one run shared by
+    all shapes of as many rows.  The last two runners share one frame, with
+    no generator per shape; n = 1 pairs its runner with an empty-shape one.
     With M = n * c beads in all, the k-th largest bead is mu_k + M-1-k, so mu
     contains inner exactly when it is at least inner_k + M-1-k for every k.
     An n over MAX_WALK_N raises ValueError before the walk starts."""
     if n > MAX_WALK_N:
         raise ValueError(f"n = {n} is over the quotient walk's bound of {MAX_WALK_N}")
     c = len(outer) + 1
-    shapes = [()]
-    for r, cap in enumerate(outer):  # grow every shape of r rows by a row
-        shapes += [
-            q + (p,) for q in shapes if len(q) == r
-            for p in range(1, min(cap, q[-1] if q else cap, total - sum(q)) + 1)
-        ]
+    runs = [[n * b + i for b in range(c - 1, -1, -1)] for i in range(n)]
     table = [[[] for _ in range(total + 1)] for _ in range(n)]
-    for q in shapes:  # one beta-set per shape, shifted onto every runner
-        nb = [n * b for b in _beta_set(q, c)]
-        for i, row in enumerate(table):
-            row[sum(q)].append((q, [b + i for b in nb]))
+    row = [((), total, [])]  # shapes of r rows, cells left, their parts' beads
+    for r in range(c):
+        tails = [run[r:] for run in runs]  # the run below every shape of r rows
+        for q, left, nb in row:  # shifted onto every runner, q as a 1-tuple
+            for i, sizes in enumerate(table):
+                sizes[total - left].append(((q,), [b + i for b in nb] + tails[i]))
+        if r < len(outer):
+            row = [(q + (p,), left - p, nb + [n * (p + c - 1 - r)]) for q, left, nb in row
+                   for p in range(1, min(outer[r], q[-1] if q else left, left) + 1)]
+    if n == 1:  # the only runner pairs with one that holds the empty shape alone
+        table.insert(0, [[((), [])]] + [[] for _ in range(total)])
     floor = [p + n * c - 1 - k for k, p in enumerate(inner)]
 
     def walk(i, left, qs, beads):
-        if i == n - 1:
-            for q, pos in table[i][left]:
-                b = beads + pos
-                b.sort(reverse=True)
-                if not floor or all(map(ge, b, floor)):
-                    yield qs + (q,), b
+        if i < len(table) - 2:
+            for size in range(left + 1):
+                for q, pos in table[i][size]:
+                    yield from walk(i + 1, left - size, qs + q, beads + pos)
             return
-        for size in range(left + 1):
+        for size in range(left + 1):  # the last two runners in one frame
             for q, pos in table[i][size]:
-                yield from walk(i + 1, left - size, qs + (q,), beads + pos)
+                head, start = qs + q, beads + pos
+                for q2, pos2 in table[i + 1][left - size]:
+                    b = start + pos2
+                    b.sort(reverse=True)
+                    if not floor or all(map(ge, b, floor)):
+                        yield head + q2, b
 
     return walk(0, total, (), [])
 

@@ -193,14 +193,14 @@ PAST_ORACLE = {
         _product_support_violation,
         17345,
     ),
-    "sxp": (  # n >= 2, |lam| >= 1, n|lam| <= 24
+    "sxp": (  # n >= 2, |lam| >= 1, n|lam| <= 26
         lambda: (
-            (n, lam) for n in range(2, 25)
-            for size in range(1, 24 // n + 1) for lam in all_partitions(size)
+            (n, lam) for n in range(2, 27)
+            for size in range(1, 26 // n + 1) for lam in all_partitions(size)
         ),
         sxp_plethysm,
         _sxp_support_violation,
-        424,
+        536,
     ),
     "plethysm": (  # |mu|, |nu| >= 1, |mu||nu| <= 13
         lambda: (
@@ -215,7 +215,7 @@ PAST_ORACLE = {
 
 
 @pytest.mark.parametrize("scope", PAST_ORACLE)
-@criterion("8 soundness past the oracle: products <= 16, sxp <= 24 (n >= 2), plethysm <= 13")
+@criterion("8 soundness past the oracle: products <= 16, sxp <= 26 (n >= 2), plethysm <= 13")
 def test_criterion_8_filter_soundness_past_the_oracle(scope):
     # the oracle stops at degree 15, the paper's filters need none: run the
     # fast path and the sweep's own support check on degrees beyond it

@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import ge
 
 import pytest
 
@@ -87,6 +88,44 @@ def _parts_by_sorting(beads):
     return tuple(reversed(parts))
 
 
+def _reference_walk(n, total, outer, inner=()):
+    """_quotient_walk as one generator frame per runner, each shape's table
+    entry a fresh list of all its beads, and every shape rescanned per row:
+    the reference for the walk's leaf order, quotients and beads."""
+    c = len(outer) + 1
+    shapes = [()]
+    for r, cap in enumerate(outer):
+        shapes += [
+            q + (p,) for q in shapes if len(q) == r
+            for p in range(1, min(cap, q[-1] if q else cap, total - sum(q)) + 1)
+        ]
+    table = [[[] for _ in range(total + 1)] for _ in range(n)]
+    for q in shapes:
+        nb = [n * b for b in _beta_set(q, c)]
+        for i, row in enumerate(table):
+            row[sum(q)].append((q, [b + i for b in nb]))
+    floor = [p + n * c - 1 - k for k, p in enumerate(inner)]
+
+    def walk(i, left, qs, beads):
+        if i == n - 1:
+            for q, pos in table[i][left]:
+                b = beads + pos
+                b.sort(reverse=True)
+                if not floor or all(map(ge, b, floor)):
+                    yield qs + (q,), b
+            return
+        for size in range(left + 1):
+            for q, pos in table[i][size]:
+                yield from walk(i + 1, left - size, qs + (q,), beads + pos)
+
+    return walk(0, total, (), [])
+
+
+# the walk tests' component bounds and containment floors
+WALK_OUTERS = [(), (1,), (2,), (1, 1), (2, 1), (3, 1, 1), (2, 2), (4, 4, 4, 4)]
+WALK_INNERS = [(), (1,), (2,), (1, 1), (2, 1), (3, 2), (2, 2, 1), (5, 5)]
+
+
 def _quotients_inside(n, total, outer):
     """Every n-tuple of part tuples inside ``outer`` with sizes summing to
     ``total``, by brute force over all such tuples of partitions."""
@@ -110,6 +149,16 @@ class TestPartitionFromBeta:
         for beads in cases:
             assert _partition_from_beta(beads) == _parts_by_sorting(beads), beads
 
+    def test_edge_cases(self):
+        # every bead packed, no packed bottom, a single bead
+        for m in range(6):
+            assert _partition_from_beta(list(range(m - 1, -1, -1))) == ()
+        assert _partition_from_beta([9, 5, 3, 1]) == (6, 3, 2, 1)
+        assert _partition_from_beta([4, 3, 2, 1]) == (1, 1, 1, 1)
+        assert _partition_from_beta([7, 2, 1, 0]) == (4,)
+        for b in range(5):
+            assert _partition_from_beta([b]) == ((b,) if b else ())
+
 
 class TestQuotientWalk:
     @pytest.mark.parametrize("n", range(1, 5))
@@ -118,13 +167,13 @@ class TestQuotientWalk:
         # reconstruct's mu; a nonempty inner keeps exactly the quotients whose
         # mu contains it, with Partition.contains as the reference
         checked = dropped = 0
-        for outer in [(), (1,), (2,), (1, 1), (2, 1), (3, 1, 1), (2, 2), (4, 4, 4, 4)]:
+        for outer in WALK_OUTERS:
             for total in range(6 if n < 4 else 5):
                 mus = {
                     qs: reconstruct(n, P(), [P(q) for q in qs])
                     for qs in _quotients_inside(n, total, outer)
                 }
-                for inner in [(), (1,), (2,), (1, 1), (2, 1), (3, 2), (2, 2, 1), (5, 5)]:
+                for inner in WALK_INNERS:
                     walk = list(_quotient_walk(n, total, outer, inner))
                     got = [qs for qs, _ in walk]
                     want = [qs for qs, mu in mus.items() if mu.contains(P(inner))]
@@ -136,6 +185,20 @@ class TestQuotientWalk:
                     checked += len(walk)
                     dropped += len(mus) - len(walk)
         assert checked > 40 and dropped > 20
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_reference_walk_in_order(self, n):
+        # the leaf order is what sxp_plethysm's term dict, and so the sweeps'
+        # first bad term, follows: the same quotients and beads, in order
+        leaves = 0
+        for outer in WALK_OUTERS + [(6, 6, 6, 6, 6, 6)]:
+            for total in range(7 if n < 4 else 6):
+                for inner in WALK_INNERS:
+                    got = list(_quotient_walk(n, total, outer, inner))
+                    assert got == list(_reference_walk(n, total, outer, inner)), (
+                        total, outer, inner)
+                    leaves += len(got)
+        assert leaves > 300
 
 
 class TestRimHooks:
@@ -214,6 +277,23 @@ class TestAbacusTuples:
                         assert _abacus_sign(beta, n) == _inversion_sign(beta, n), (mu, n)
                         checked += 1
         assert checked > 1000
+
+    def test_sign_edge_cases(self):
+        # every bead packed (the empty partition), no packed bottom (every
+        # row nonempty, so the lowest bead sits above 0), a single bead
+        cases = [(list(range(m - 1, -1, -1)), n)
+                 for n in range(1, 5) for m in range(0, 13, n)]
+        for n in range(1, 5):
+            for size in range(0, 13, n):
+                for mu in all_partitions(size):
+                    if len(mu) % n == 0 and not decompose(mu, n).core:
+                        cases.append((_beta_set(mu, len(mu)), n))
+        cases += [([b], 1) for b in range(6)]
+        assert any(beta and beta[-1] > 0 for beta, n in cases if n > 1)
+        for beta, n in cases:
+            assert _abacus_sign(beta, n) == _inversion_sign(beta, n), (beta, n)
+            if not _partition_from_beta(beta):
+                assert _abacus_sign(beta, n) == 1
 
 
 class TestReconstruct:

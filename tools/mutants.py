@@ -134,22 +134,43 @@ MUTANTS = [
      "floor = [p + n * c - 1 - k for",
      "floor = [p + n * c - 2 - k for",
      [f"{QUOT}::TestQuotientWalk"]),
+    ("quotients.py",  # the two-runner frame skips the floor test (n = 1 keeps it)
+     "if not floor or all(map(ge, b, floor)):",
+     "if i == n - 2 or not floor or all(map(ge, b, floor)):",
+     [f"{QUOT}::TestQuotientWalk"]),
+    ("quotients.py",  # the n = 1 walk skips the floor test
+     "if not floor or all(map(ge, b, floor)):",
+     "if n == 1 or not floor or all(map(ge, b, floor)):",
+     [f"{QUOT}::TestQuotientWalk"]),
     ("quotients.py",  # leaf beads left unsorted
-     "                b.sort(reverse=True)\n",
+     "                    b.sort(reverse=True)\n",
      "",
      [f"{QUOT}::TestQuotientWalk"]),
-    ("quotients.py",  # a wrong runner shift in the walk's table
-     "[b + i for b in nb]",
-     "[b + n - 1 - i for b in nb]",
+    ("quotients.py",  # a wrong runner shift in the walk's table: runner i's
+     # entries get the beads, parts and bottom run, of runner n-1-i
+     "for i, sizes in enumerate(table):",
+     "for i, sizes in zip(range(n - 1, -1, -1), table):",
+     [f"{QUOT}::TestQuotientWalk"]),
+    ("quotients.py",  # the shared bottom runs taken one level off
+     "for b in range(c - 1, -1, -1)]",
+     "for b in range(c, 0, -1)]",
      [f"{QUOT}::TestQuotientWalk"]),
     ("quotients.py",  # empty-core test loosened to one full runner
      "return all(runners.count(i) == m // n for i in range(n))",
      "return any(runners.count(i) == m // n for i in range(n))",
      [f"{QUOT}::TestAbacusTuples"]),
     ("quotients.py",  # a zero part kept when reading beads
-     "if b > k])",
-     "if b >= k])",
+     "takewhile(bool, map(sub,",
+     "takewhile((-1).__lt__, map(sub,",
      [f"{QUOT}::TestPartitionFromBeta"]),
+    ("quotients.py",  # the decode does not stop at the zeros
+     "list(takewhile(bool, map(sub, beta, range(len(beta) - 1, -1, -1))))",
+     "list(map(sub, beta, range(len(beta) - 1, -1, -1)))",
+     [f"{QUOT}::TestPartitionFromBeta"]),
+    ("quotients.py",  # the sign stops one bead early, at the first part of 1
+     "if b == m - 1 - i:",
+     "if b <= m - i:",
+     [f"{QUOT}::TestAbacusTuples"]),
     ("quotients.py",  # decompose accepts a modulus below 1
      "    if n < 1:\n        raise ValueError(\"modulus n must be >= 1\")\n    m = ",
      "    if False:\n        raise ValueError(\"modulus n must be >= 1\")\n    m = ",
