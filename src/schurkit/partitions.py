@@ -80,9 +80,6 @@ class Partition:
     def __iter__(self) -> Iterator[int]:
         return iter(self._parts)
 
-    def __bool__(self) -> bool:
-        return bool(self._parts)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Partition) and self._parts == other._parts
 

@@ -188,7 +188,8 @@ def _quotient_walk(n: int, total: int, outer: Sequence[int],
     runner i do not depend on the others: one table per call holds them, its
     parts' beads (grown row by row) and then the run below, one run shared by
     all shapes of as many rows.  The last two runners share one frame, with
-    no generator per shape; n = 1 pairs its runner with an empty-shape one.
+    no generator per shape, so the walk takes n >= 2: both callers answer
+    n = 1 themselves (p_1 o s_lam = s_lam, and lam is the only candidate).
     With M = n * c beads in all, the k-th largest bead is mu_k + M-1-k, so mu
     contains inner exactly when it is at least inner_k + M-1-k for every k.
     An n over MAX_WALK_N raises ValueError before the walk starts."""
@@ -206,12 +207,10 @@ def _quotient_walk(n: int, total: int, outer: Sequence[int],
         if r < len(outer):
             row = [(q + (p,), left - p, nb + [n * (p + c - 1 - r)]) for q, left, nb in row
                    for p in range(1, min(outer[r], q[-1] if q else left, left) + 1)]
-    if n == 1:  # the only runner pairs with one that holds the empty shape alone
-        table.insert(0, [[((), [])]] + [[] for _ in range(total)])
     floor = [p + n * c - 1 - k for k, p in enumerate(inner)]
 
     def walk(i, left, qs, beads):
-        if i < len(table) - 2:
+        if i < n - 2:
             for size in range(left + 1):
                 for q, pos in table[i][size]:
                     yield from walk(i + 1, left - size, qs + q, beads + pos)

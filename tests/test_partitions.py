@@ -78,8 +78,11 @@ class TestConstruction:
         for row in (-1, -3):
             with pytest.raises(IndexError, match="non-negative"):
                 P([2])[row]
-        assert not P()
-        assert lam
+
+    def test_truth_value(self):
+        # truth comes from __len__: false exactly when no part is positive
+        assert not P() and not P([0, 0])
+        assert P([1]) and P([3, 2])
 
     def test_rejects_non_integer_parts(self):
         # parts convert with operator.index: floats are not truncated and

@@ -161,7 +161,7 @@ class TestPartitionFromBeta:
 
 
 class TestQuotientWalk:
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(2, 5))
     def test_matches_brute_force(self, n):
         # every yielded quotient once, with strictly descending beads that give
         # reconstruct's mu; a nonempty inner keeps exactly the quotients whose
@@ -186,7 +186,7 @@ class TestQuotientWalk:
                     dropped += len(mus) - len(walk)
         assert checked > 40 and dropped > 20
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(2, 5))
     def test_matches_reference_walk_in_order(self, n):
         # the leaf order is what sxp_plethysm's term dict, and so the sweeps'
         # first bad term, follows: the same quotients and beads, in order

@@ -134,14 +134,6 @@ MUTANTS = [
      "floor = [p + n * c - 1 - k for",
      "floor = [p + n * c - 2 - k for",
      [f"{QUOT}::TestQuotientWalk"]),
-    ("quotients.py",  # the two-runner frame skips the floor test (n = 1 keeps it)
-     "if not floor or all(map(ge, b, floor)):",
-     "if i == n - 2 or not floor or all(map(ge, b, floor)):",
-     [f"{QUOT}::TestQuotientWalk"]),
-    ("quotients.py",  # the n = 1 walk skips the floor test
-     "if not floor or all(map(ge, b, floor)):",
-     "if n == 1 or not floor or all(map(ge, b, floor)):",
-     [f"{QUOT}::TestQuotientWalk"]),
     ("quotients.py",  # leaf beads left unsorted
      "                    b.sort(reverse=True)\n",
      "",
@@ -225,6 +217,10 @@ MUTANTS = [
      "    if n < 1:\n        raise ValueError(\"plethysm exponent n must be >= 1\")\n    if n == 1",
      "    if False:\n        raise ValueError(\"plethysm exponent n must be >= 1\")\n    if n == 1",
      [f"{POS}::TestSxpBounds::test_exponent_below_one"]),
+    ("positivity.py",  # the candidate walk loses its n = 1 answer
+     "if n == 1 or not lam:",
+     "if not lam:",
+     [f"{POS}::TestEnumerateCandidates::test_identity_exponent"]),
     ("positivity.py",  # candidates left unsorted
      "return sorted([_partition_from_beta(beads) for _, beads in walk], reverse=True)",
      "return [_partition_from_beta(beads) for _, beads in walk]",
