@@ -18,10 +18,10 @@ from schurkit.quotients import (
     _abacus_sign,
     _beta_set,
     _has_empty_core,
-    _padded_length,
     _partition_from_beta,
     _quotient_walk,
     _rim_hooks,
+    _runners,
 )
 
 P = Partition
@@ -247,6 +247,17 @@ class TestDecompose:
                     d = decompose(mu, n)
                     assert mu.size == d.core.size + n * sum(q.size for q in d.quotient)
 
+    def test_sign_exactly_when_core_empty(self):
+        # the sign field is None exactly when the core is nonempty, else +-1
+        for n in range(1, 6):
+            for size in range(13):
+                for mu in all_partitions(size):
+                    d = decompose(mu, n)
+                    if d.core:
+                        assert d.sign is None, (mu, n)
+                    else:
+                        assert d.sign in (1, -1), (mu, n)
+
     def test_padding_invariance(self):
         # computing with extra zero parts must not change anything
         for mu in all_partitions(6):
@@ -272,7 +283,8 @@ class TestAbacusTuples:
                 for mu in all_partitions(size):
                     if decompose(mu, n).core:
                         continue
-                    for m in (_padded_length(len(mu), n), _padded_length(len(mu), n) + n):
+                    m0 = len(_runners(mu, n)[0])
+                    for m in (m0, m0 + n):
                         beta = _beta_set(mu, m)
                         assert _abacus_sign(beta, n) == _inversion_sign(beta, n), (mu, n)
                         checked += 1
@@ -298,8 +310,8 @@ class TestAbacusTuples:
 
 class TestReconstruct:
     def test_round_trip_exhaustive(self):
-        for n in range(1, 5):
-            for size in range(15):
+        for n in range(1, 8):
+            for size in range(17):
                 for mu in all_partitions(size):
                     d = decompose(mu, n)
                     assert reconstruct(n, d.core, d.quotient) == mu
@@ -379,7 +391,7 @@ class TestSxpSign:
                 for mu in all_partitions(size):
                     if decompose(mu, n).core:
                         continue
-                    m = _padded_length(len(mu), n)
+                    m = len(_runners(mu, n)[0])
                     sign = sxp_sign(mu, n)
                     for _ in range(3):
                         parity = _removal_parity(

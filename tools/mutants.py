@@ -147,10 +147,22 @@ MUTANTS = [
      "for b in range(c - 1, -1, -1)]",
      "for b in range(c, 0, -1)]",
      [f"{QUOT}::TestQuotientWalk"]),
-    ("quotients.py",  # empty-core test loosened to one full runner
-     "return all(runners.count(i) == m // n for i in range(n))",
-     "return any(runners.count(i) == m // n for i in range(n))",
+    ("quotients.py",  # empty-core test loosened to two runner lengths
+     "return len({len(r) for r in _runners(mu, n)[1]}) == 1",
+     "return len({len(r) for r in _runners(mu, n)[1]}) <= 2",
      [f"{QUOT}::TestAbacusTuples"]),
+    ("quotients.py",  # the runner split reads every level one too high
+     "levels[b % n].append(b // n)",
+     "levels[b % n].append(b // n + 1)",
+     [f"{QUOT}::TestDecompose"]),
+    ("quotients.py",  # decompose places the core one bead short per runner
+     "_place(n, [len(r) for r in levels], [()] * n)",
+     "_place(n, [len(r) - 1 for r in levels], [()] * n)",
+     [f"{QUOT}::TestDecompose"]),
+    ("quotients.py",  # reconstruct lifts the components with no spare beads
+     "extra = max((len(q) for q in quotient), default=0)",
+     "extra = 0",
+     [f"{QUOT}::TestReconstruct"]),
     ("quotients.py",  # a zero part kept when reading beads
      "takewhile(bool, map(sub,",
      "takewhile((-1).__lt__, map(sub,",
@@ -164,8 +176,8 @@ MUTANTS = [
      "if b <= m - i:",
      [f"{QUOT}::TestAbacusTuples"]),
     ("quotients.py",  # decompose accepts a modulus below 1
-     "    if n < 1:\n        raise ValueError(\"modulus n must be >= 1\")\n    m = ",
-     "    if False:\n        raise ValueError(\"modulus n must be >= 1\")\n    m = ",
+     "    if n < 1:\n        raise ValueError(\"modulus n must be >= 1\")\n    beta, ",
+     "    if False:\n        raise ValueError(\"modulus n must be >= 1\")\n    beta, ",
      [f"{QUOT}::TestDecompose::test_modulus_below_one"]),
     ("quotients.py",  # reconstruct accepts a modulus below 1
      "    if n < 1:\n        raise ValueError(\"modulus n must be >= 1\")\n    if len(",
