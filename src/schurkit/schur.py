@@ -139,10 +139,12 @@ def _lr_walk(
 
     Letter k+1 opens at row k, not row 0: letter k sits in no row above
     k-1, so the lattice rule leaves letter k+1 no room in rows 0..k-1, and
-    at row k its allowance is the count of letter k in row k-1.  A row with
-    no room for the strip is crossed in a loop rather than a call, and the
-    row that takes the strip's last cell records the leaf or opens the next
-    letter itself; most of the calls of a row-by-row walk placed nothing.
+    at row k its allowance is the count of letter k in row k-1.  Rows with
+    no room are crossed in a loop, not a call, and so are the rows that a
+    strip's one last cell scans: its allowance is at least 1 where the scan
+    starts and only grows, so the scan makes no lattice test.  The row that
+    takes a strip's last cell records the leaf or opens the next letter
+    itself.  The last letter keeps no strip (None): no later letter reads it.
     """
     if outer is not None and not _contains(outer, inner):
         return {}
@@ -173,25 +175,38 @@ def _lr_walk(
             if hi > 0:
                 break
             slack += prev[r]  # row r takes nothing: cross it without a call
-            above = old
-            r += 1
+            above, r = old, r + 1
+        while left == 1:  # one cell left: each row with room below takes it
+            if above > old and (outer is None or outer[r] > old):
+                shape[r] = old + 1
+                if strip is None:
+                    leaves[tuple(shape)] += 1
+                else:  # letter k+2 opens at row k+1, see the docstring
+                    strip[r] = 1
+                    grow(k + 1, k + 1, content[k + 1], strip[k], shape[k], strip, strips[k + 1])
+                    strip[r] = 0
+                shape[r] = old
+            if not old or r + 1 == rows:  # no row below an empty row has room
+                return
+            above, old, r = old, shape[r + 1], r + 1
         lo = left - old if left > old else 0  # rows below hold at most old
         gained = prev[r]
         for x in range(hi, lo - 1, -1):
             shape[r] = old + x
-            strip[r] = x
+            if strip is not None:
+                strip[r] = x
             if x < left:
                 grow(k, r + 1, left - x, slack - x + gained, old, prev, strip)
-            elif k == last:
+            elif strip is None:
                 leaves[tuple(shape)] += 1
-            else:  # letter k+2 opens at row k+1, see the docstring
-                grow(
-                    k + 1, k + 1, content[k + 1], strip[k], shape[k], strip, [0] * rows
-                )
+            else:
+                grow(k + 1, k + 1, content[k + 1], strip[k], shape[k], strip, strips[k + 1])
         shape[r] = old
-        strip[r] = 0
+        if strip is not None:
+            strip[r] = 0
 
-    grow(0, 0, content[0], _UNBOUNDED, _UNBOUNDED, [0] * rows, [0] * rows)
+    strips = [[0] * rows for _ in range(last)] + [None]  # every write is undone
+    grow(0, 0, content[0], _UNBOUNDED, _UNBOUNDED, [0] * rows, strips[0])
     # zeros only trail a partition, so counting them trims the padding
     return {lam[: len(lam) - lam.count(0)]: c for lam, c in leaves.items()}
 

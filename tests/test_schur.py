@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -101,6 +102,57 @@ BIG_PAIRS = [
 ]
 
 
+MERSENNE_61 = (1 << 61) - 1  # a prime
+
+
+def _alternant(powers, alpha):
+    """det(x_i^alpha_j) mod MERSENNE_61 by Gaussian elimination, where
+    powers[i][e] is x_i^e."""
+    p = MERSENNE_61
+    m = [[row[a] for a in alpha] for row in powers]
+    det = 1
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det = det * m[c][c] % p
+        inv = pow(m[c][c], p - 2, p)
+        for i in range(c + 1, len(m)):
+            f = m[i][c] * inv % p
+            m[i][c:] = [(a - f * b) % p for a, b in zip(m[i][c:], m[c][c:])]
+    return det % p
+
+
+def _point_sides(mu, nu, terms, seed):
+    """(sum_lam c_lam s_lam(x), s_mu(x) s_nu(x)) mod MERSENNE_61 at one
+    seeded random point x of F_p^k, k the longest row count among the terms
+    (part tuples), with s_lam = a_{lam+delta} / a_delta.  The Schur
+    polynomials with at most k rows are linearly independent, so a wrong
+    coefficient makes the sides differ except with probability at most
+    (|mu| + |nu|) / p (Schwartz-Zippel)."""
+    p, k = MERSENNE_61, max(map(len, terms))
+    rng = random.Random(seed)
+    x = [rng.randrange(1, p) for _ in range(k)]
+    powers = []
+    for xi in x:  # x_i^e for e up to the largest exponent, lam_1 + k - 1
+        powers.append([1])
+        for _ in range(max(lam[0] for lam in terms) + k - 1):
+            powers[-1].append(powers[-1][-1] * xi % p)
+
+    def at(lam):
+        lam = lam + (0,) * (k - len(lam))
+        return _alternant(powers, [lam[j] + k - 1 - j for j in range(k)])
+
+    vandermonde = at(())
+    assert vandermonde, "the point repeats a coordinate"
+    inv = pow(vandermonde, p - 2, p)
+    left = sum(c * at(lam) for lam, c in terms.items()) * inv % p
+    return left, at(mu) * inv * at(nu) * inv % p
+
+
 class TestLRPastOracle:
     """Exact identities that check whole products at degrees the oracle
     sweeps do not reach."""
@@ -112,6 +164,36 @@ class TestLRPastOracle:
         for k in (1, 2, 3, 5, 8, 13):
             expected = principal(mu, k) * principal(nu, k)
             assert sum(c * principal(lam, k) for lam, c in terms.items()) == expected
+
+    @pytest.mark.parametrize("mu,nu", BIG_PAIRS)
+    def test_every_coefficient_at_a_random_point(self, mu, nu):
+        terms = _pair_product(mu.parts, nu.parts)
+        left, right = _point_sides(mu.parts, nu.parts, terms, seed=mu.size)
+        assert left == right
+
+    def test_random_point_catches_one_moved_unit(self, monkeypatch):
+        # one unit moved from a term of coefficient >= 2 to another term
+        # keeps the support and the coefficient sum; the point check sees it
+        import schurkit.schur
+
+        walk = schurkit.schur._lr_walk
+
+        def moved(inner, content, outer=None):
+            terms = walk(inner, content, outer)
+            a = next(lam for lam, c in terms.items() if c >= 2)
+            b = next(lam for lam in terms if lam != a)
+            terms[a] -= 1
+            terms[b] += 1
+            return terms
+
+        mu, nu = BIG_PAIRS[0]
+        right_terms = dict(_pair_product(mu.parts, nu.parts))
+        monkeypatch.setattr(schurkit.schur, "_lr_walk", moved)
+        terms = _pair_product.__wrapped__(mu.parts, nu.parts)  # past the cache
+        assert terms != right_terms and terms.keys() == right_terms.keys()
+        assert sum(terms.values()) == sum(right_terms.values())
+        left, right = _point_sides(mu.parts, nu.parts, terms, seed=mu.size)
+        assert left != right
 
     @pytest.mark.parametrize("mu,nu", BIG_PAIRS)
     def test_conjugation_symmetry(self, mu, nu):
@@ -224,6 +306,26 @@ class TestLRWalkProperties:
             kept += 0 < len(inside) < len(full)
             short += len(outer) < len(nu)
         assert kept >= 100 and short >= 60
+
+    def test_walk_nests_one_frame_per_letter(self):
+        # 60 one-cell letters: at most 63 Python frames deep, so only inputs
+        # about as tall as the recursion limit reach the CLI's refusal
+        depth = deepest = 0
+
+        def count(frame, event, arg):
+            nonlocal depth, deepest
+            if event == "call":
+                depth += 1
+                deepest = max(deepest, depth)
+            elif event == "return":
+                depth -= 1
+
+        sys.setprofile(count)
+        try:
+            terms = _lr_walk((1,) * 60, (1,) * 60)
+        finally:
+            sys.setprofile(None)
+        assert len(terms) == 61 and deepest <= 63
 
     def test_product_coefficient_matches_multi_product(self):
         rng = random.Random(2)

@@ -58,6 +58,22 @@ MUTANTS = [
      "gained = prev[r]",
      "gained = 0",
      [f"{SCHUR}::TestLRCoefficient"]),
+    ("schur.py",  # the one-cell scan lets a row as long as the row above take it
+     "if above > old and (",
+     "if above >= old and (",
+     [f"{SCHUR}::TestLRCoefficient"]),
+    ("schur.py",  # the one-cell scan fills a row already at its outer bound
+     "or outer[r] > old):",
+     "or outer[r] >= old):",
+     [f"{SCHUR}::TestLRWalkProperties"]),
+    ("schur.py",  # the one-cell scan ignores the outer bound
+     " and (outer is None or outer[r] > old):",
+     ":",
+     [f"{SCHUR}::TestLRWalkProperties"]),
+    ("schur.py",  # the last letter's scan counts each shape once
+     "                    leaves[tuple(shape)] += 1\n                else:",
+     "                    leaves[tuple(shape)] = 1\n                else:",
+     [f"{SCHUR}::TestLRCoefficient"]),
     ("schur.py",  # containment pre-check removed
      "    if outer is not None and not _contains(outer, inner):\n        return {}\n",
      "",
