@@ -205,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonIntegralResultError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return FAILURE
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except RecursionError:  # the LR walk nests a frame per letter of a factor

@@ -144,7 +144,7 @@ def _lr_walk(
     strip's one last cell scans: its allowance is at least 1 where the scan
     starts and only grows, so the scan makes no lattice test.  The row that
     takes a strip's last cell records the leaf or opens the next letter
-    itself.  The last letter keeps no strip (None): no later letter reads it.
+    itself.
     """
     if outer is not None and not _contains(outer, inner):
         return {}
@@ -178,14 +178,12 @@ def _lr_walk(
             above, r = old, r + 1
         while left == 1:  # one cell left: each row with room below takes it
             if above > old and (outer is None or outer[r] > old):
-                shape[r] = old + 1
-                if strip is None:
+                shape[r], strip[r] = old + 1, 1
+                if k == last:
                     leaves[tuple(shape)] += 1
                 else:  # letter k+2 opens at row k+1, see the docstring
-                    strip[r] = 1
                     grow(k + 1, k + 1, content[k + 1], strip[k], shape[k], strip, strips[k + 1])
-                    strip[r] = 0
-                shape[r] = old
+                shape[r], strip[r] = old, 0
             if not old or r + 1 == rows:  # no row below an empty row has room
                 return
             above, old, r = old, shape[r + 1], r + 1
@@ -193,19 +191,16 @@ def _lr_walk(
         gained = prev[r]
         for x in range(hi, lo - 1, -1):
             shape[r] = old + x
-            if strip is not None:
-                strip[r] = x
+            strip[r] = x
             if x < left:
                 grow(k, r + 1, left - x, slack - x + gained, old, prev, strip)
-            elif strip is None:
+            elif k == last:
                 leaves[tuple(shape)] += 1
             else:
                 grow(k + 1, k + 1, content[k + 1], strip[k], shape[k], strip, strips[k + 1])
-        shape[r] = old
-        if strip is not None:
-            strip[r] = 0
+        shape[r], strip[r] = old, 0
 
-    strips = [[0] * rows for _ in range(last)] + [None]  # every write is undone
+    strips = [[0] * rows for _ in content]  # every write is undone
     grow(0, 0, content[0], _UNBOUNDED, _UNBOUNDED, [0] * rows, strips[0])
     # zeros only trail a partition, so counting them trims the padding
     return {lam[: len(lam) - lam.count(0)]: c for lam, c in leaves.items()}

@@ -206,6 +206,18 @@ class TestExpand:
         assert schurkit.cli.main(["expand", "plethysm", "-m", "2", "-v", "1"]) == 1
         assert "internal error" in capsys.readouterr().err
 
+    def test_internal_type_error_is_not_a_usage_error(self, monkeypatch, capsys):
+        # only a ValueError is the input's fault; a TypeError is the program's
+        import schurkit.cli
+
+        def broken(mus):
+            raise TypeError("internal fault")
+
+        monkeypatch.setattr(schurkit.cli, "multi_schur_product", broken)
+        with pytest.raises(TypeError, match="internal fault"):
+            schurkit.cli.main(["expand", "product", "-m", "2", "-v", "1"])
+        assert capsys.readouterr() == ("", "")
+
 
 class TestFilter:
     def test_lr_theta(self, cli_env):

@@ -126,31 +126,53 @@ def _alternant(powers, alpha):
     return det % p
 
 
-def _point_sides(mu, nu, terms, seed):
-    """(sum_lam c_lam s_lam(x), s_mu(x) s_nu(x)) mod MERSENNE_61 at one
-    seeded random point x of F_p^k, k the longest row count among the terms
-    (part tuples), with s_lam = a_{lam+delta} / a_delta.  The Schur
-    polynomials with at most k rows are linearly independent, so a wrong
-    coefficient makes the sides differ except with probability at most
-    (|mu| + |nu|) / p (Schwartz-Zippel)."""
-    p, k = MERSENNE_61, max(map(len, terms))
-    rng = random.Random(seed)
-    x = [rng.randrange(1, p) for _ in range(k)]
+def _schur_at(x, top):
+    """lam -> s_lam(x) mod MERSENNE_61 for part tuples lam with at most len(x)
+    rows and parts at most top, with s_lam = a_{lam+delta} / a_delta."""
+    p, k = MERSENNE_61, len(x)
     powers = []
-    for xi in x:  # x_i^e for e up to the largest exponent, lam_1 + k - 1
+    for xi in x:  # x_i^e for e up to the largest exponent, top + k - 1
         powers.append([1])
-        for _ in range(max(lam[0] for lam in terms) + k - 1):
+        for _ in range(top + k - 1):
             powers[-1].append(powers[-1][-1] * xi % p)
 
-    def at(lam):
+    def alternant(lam):
         lam = lam + (0,) * (k - len(lam))
         return _alternant(powers, [lam[j] + k - 1 - j for j in range(k)])
 
-    vandermonde = at(())
+    vandermonde = alternant(())
     assert vandermonde, "the point repeats a coordinate"
     inv = pow(vandermonde, p - 2, p)
-    left = sum(c * at(lam) for lam, c in terms.items()) * inv % p
-    return left, at(mu) * inv * at(nu) * inv % p
+    return lambda lam: alternant(lam) * inv % p
+
+
+def _point_sides(terms, right, seed, rows=0):
+    """(sum_lam c_lam s_lam(x), right(x, s)) mod MERSENNE_61 at one seeded
+    random point x of F_p^k, where s = _schur_at(x, ...) and k is the longest
+    row count among the terms (part tuples), or rows if that is more.  The
+    Schur polynomials with at most k rows are linearly independent, so a wrong
+    coefficient makes the sides differ except with probability at most the
+    degree over p (Schwartz-Zippel)."""
+    p, k = MERSENNE_61, max(rows, *map(len, terms))
+    rng = random.Random(seed)
+    x = [rng.randrange(1, p) for _ in range(k)]
+    s = _schur_at(x, max(lam[0] for lam in terms))
+    return sum(c * s(lam) for lam, c in terms.items()) % p, right(x, s)
+
+
+def _product_sides(mu, nu, terms):
+    """_point_sides for terms claimed to be s_mu * s_nu, mu and nu part tuples."""
+    return _point_sides(terms, lambda x, s: s(mu) * s(nu) % MERSENNE_61, seed=sum(mu))
+
+
+def _sxp_sides(n, lam, terms):
+    """_point_sides for terms claimed to be p_n o s_lam, whose value at x is
+    s_lam(x_1^n, ..., x_k^n); lam a part tuple."""
+
+    def right(x, s):
+        return _schur_at([pow(xi, n, MERSENNE_61) for xi in x], lam[0])(lam)
+
+    return _point_sides(terms, right, seed=n * sum(lam), rows=len(lam))
 
 
 class TestLRPastOracle:
@@ -168,7 +190,7 @@ class TestLRPastOracle:
     @pytest.mark.parametrize("mu,nu", BIG_PAIRS)
     def test_every_coefficient_at_a_random_point(self, mu, nu):
         terms = _pair_product(mu.parts, nu.parts)
-        left, right = _point_sides(mu.parts, nu.parts, terms, seed=mu.size)
+        left, right = _product_sides(mu.parts, nu.parts, terms)
         assert left == right
 
     def test_random_point_catches_one_moved_unit(self, monkeypatch):
@@ -192,7 +214,7 @@ class TestLRPastOracle:
         terms = _pair_product.__wrapped__(mu.parts, nu.parts)  # past the cache
         assert terms != right_terms and terms.keys() == right_terms.keys()
         assert sum(terms.values()) == sum(right_terms.values())
-        left, right = _point_sides(mu.parts, nu.parts, terms, seed=mu.size)
+        left, right = _product_sides(mu.parts, nu.parts, terms)
         assert left != right
 
     @pytest.mark.parametrize("mu,nu", BIG_PAIRS)
@@ -613,6 +635,21 @@ def _sxp_linear(n, f):
     return SchurExpansion(n * f.degree, acc)
 
 
+# n|lam| from 20 to 30, past the oracle sweep's degree 9
+SXP_BIG = [
+    (2, P([5, 3, 2])),
+    (2, P([6, 4, 3, 1, 1])),
+    (2, P([4, 4, 3, 2, 1, 1])),
+    (3, P([4, 3, 1])),
+    (3, P([5, 4, 1])),
+    (3, P([3, 3, 2, 1, 1])),
+    (4, P([3, 2, 1])),
+    (4, P([2, 2, 2, 1])),
+    (5, P([2, 2, 1, 1])),
+    (6, P([2, 2, 1])),
+]
+
+
 class TestSxpPastOracle:
     """Exact identities that check whole SXP expansions at degrees 16-30,
     past the oracle sweep's degree 9."""
@@ -635,27 +672,32 @@ class TestSxpPastOracle:
         # p_n o (p_m o s_lam) = p_{nm} o s_lam, degrees 16-24
         assert _sxp_linear(n, sxp_plethysm(m, lam)) == sxp_plethysm(n * m, lam)
 
-    @pytest.mark.parametrize(
-        "n,lam",
-        [
-            (2, P([5, 3, 2])),
-            (2, P([6, 4, 3, 1, 1])),
-            (2, P([4, 4, 3, 2, 1, 1])),
-            (3, P([4, 3, 1])),
-            (3, P([5, 4, 1])),
-            (3, P([3, 3, 2, 1, 1])),
-            (4, P([3, 2, 1])),
-            (4, P([2, 2, 2, 1])),
-            (5, P([2, 2, 1, 1])),
-            (6, P([2, 2, 1])),
-        ],
-    )
+    @pytest.mark.parametrize("n,lam", SXP_BIG)
     def test_principal_specialization(self, n, lam):
         # (p_n o f)(1^k) = f(1^k), since p_n(1^k) = k; degrees 20-30
         e = sxp_plethysm(n, lam)
         for k in (1, 2, 3, 5, 8, 13):
             got = sum(c * principal(mu, k) for mu, c in e.terms.items())
             assert got == principal(lam, k)
+
+    @pytest.mark.parametrize("n,lam", [case for case in SXP_BIG if case[0] <= 4])
+    def test_every_coefficient_at_a_random_point(self, n, lam):
+        # (p_n o s_lam)(x) = s_lam(x_1^n, ..., x_k^n); k <= 16 here, while
+        # n = 5 and 6 would need k = 20 and 18, at about 1 s each
+        left, right = _sxp_sides(n, lam.parts, sxp_plethysm(n, lam)._parts)
+        assert left == right
+
+    def test_random_point_catches_one_moved_unit(self):
+        # one unit moved from a term of coefficient >= 2 to a positive term
+        # keeps the support and the coefficient sum; the point check sees it
+        n, lam = SXP_BIG[0]
+        terms = dict(sxp_plethysm(n, lam)._parts)
+        a = next(mu for mu, c in terms.items() if c >= 2)
+        b = next(mu for mu, c in terms.items() if mu != a and c > 0)
+        terms[a] -= 1
+        terms[b] += 1
+        left, right = _sxp_sides(n, lam.parts, terms)
+        assert left != right
 
 
 class TestSchurPlethysm:

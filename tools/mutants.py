@@ -98,6 +98,11 @@ MUTANTS = [
      "_quotient_walk(n, lam.size, lam.parts)",
      "_quotient_walk(n, lam.size, lam.parts[:-1])",
      [f"{SCHUR}::TestSxpPlethysm"]),
+    ("schur.py",  # terms of 14+ rows change sign past degree 15: no k <= 13 sees them
+     "terms[_partition_from_beta(beads)] = coeffs[factors] * _abacus_sign(beads, n)",
+     "mu = _partition_from_beta(beads); terms[mu] = coeffs[factors]"
+     " * _abacus_sign(beads, n) * (-1 if len(mu) > 13 and n * lam.size > 15 else 1)",
+     [f"{SCHUR}::TestSxpPastOracle::test_every_coefficient_at_a_random_point"]),
     ("schur.py",  # |chi| for chi in the plethysm weights
      "out.append((rho.parts, chi * (scale // z_of(rho))))",
      "out.append((rho.parts, abs(chi) * (scale // z_of(rho))))",
@@ -349,6 +354,10 @@ MUTANTS = [
      'return FAILURE if output.get("status") == "fail" else 0',
      "return 0",
      [f"{CLI}::TestVerify::test_failed_sweep_exit_1"]),
+    ("cli.py",  # an internal TypeError reads as a usage error, exit 2
+     '    except ValueError as exc:\n        sys.stderr.write(f"error: {exc}\\n")',
+     '    except (ValueError, TypeError) as exc:\n        sys.stderr.write(f"error: {exc}\\n")',
+     [f"{CLI}::TestExpand::test_internal_type_error_is_not_a_usage_error"]),
 ]
 
 
