@@ -3,9 +3,10 @@
 Expansions are immutable maps from partitions to int coefficients, always
 homogeneous and zero-free; no floats anywhere.  Terms stay on dicts keyed by
 part tuples without trailing zeros from the kernel to the JSON bytes: an
-expansion holds the kernel's own dict, and Partitions are built only when a
-caller reads its ``terms``, ``support()`` or ``sorted_terms()``.  Plethysm
-weights are ints scaled by |mu|!, divided out once each.
+expansion holds the kernel's own dict, or the cached read-only pair product
+itself, and Partitions are built only when a caller reads its ``terms``,
+``support()`` or ``sorted_terms()``.  Plethysm weights are ints scaled by
+|mu|!, divided out once each.
 
 Littlewood-Richardson coefficients come from one walk that grows LR
 tableaux strip by strip: each row of the content is added as a horizontal
@@ -55,9 +56,9 @@ class SchurExpansion:
         self._degree, self._parts, self._terms = degree, clean, None
 
     @classmethod
-    def _from_parts(cls, degree: int, parts: dict[tuple, int]) -> "SchurExpansion":
-        """The boundary: the kernel's own zero-free dict of degree-sized part
-        tuples, taken as it is, with no per-term work."""
+    def _from_parts(cls, degree: int, parts: Mapping[tuple, int]) -> "SchurExpansion":
+        """The boundary: the kernel's own zero-free mapping of degree-sized part
+        tuples, taken as it is; it may be the cached read-only pair product."""
         self = object.__new__(cls)
         self._degree, self._parts, self._terms = degree, parts, None
         return self
@@ -110,11 +111,12 @@ class SchurExpansion:
         return [(Partition(lam), c) for lam, c in items]
 
     def to_json_obj(self) -> dict:
+        parts = self._parts
         return {
             "degree": self._degree,
             "terms": [
-                {"partition": list(lam), "coeff": str(c)}
-                for lam, c in sorted(self._parts.items(), reverse=True)
+                {"partition": list(lam), "coeff": str(parts[lam])}
+                for lam in sorted(parts, reverse=True)
             ],
         }
 
@@ -155,7 +157,8 @@ def _lr_walk(
         rows = min(rows, len(outer))
     shape = list(inner) + [0] * (rows - len(inner))
     last = len(content) - 1
-    leaves: dict[tuple[int, ...], int] = defaultdict(int)
+    leaves: dict[tuple[int, ...], int] = {}
+    count = leaves.get  # a plain dict: defaultdict's __missing__ costs per shape
 
     def grow(k, r, left, slack, above, prev, strip) -> None:
         # place `left` > 0 more cells of letter k+1 from row r down; `above`
@@ -180,7 +183,8 @@ def _lr_walk(
             if above > old and (outer is None or outer[r] > old):
                 shape[r], strip[r] = old + 1, 1
                 if k == last:
-                    leaves[tuple(shape)] += 1
+                    lam = tuple(shape)
+                    leaves[lam] = count(lam, 0) + 1
                 else:  # letter k+2 opens at row k+1, see the docstring
                     grow(k + 1, k + 1, content[k + 1], strip[k], shape[k], strip, strips[k + 1])
                 shape[r], strip[r] = old, 0
@@ -195,7 +199,8 @@ def _lr_walk(
             if x < left:
                 grow(k, r + 1, left - x, slack - x + gained, old, prev, strip)
             elif k == last:
-                leaves[tuple(shape)] += 1
+                lam = tuple(shape)
+                leaves[lam] = count(lam, 0) + 1
             else:
                 grow(k + 1, k + 1, content[k + 1], strip[k], shape[k], strip, strips[k + 1])
         shape[r], strip[r] = old, 0
@@ -221,8 +226,12 @@ def _pair_product(mu: tuple[int, ...], nu: tuple[int, ...]) -> Mapping[tuple, in
     return MappingProxyType(_lr_walk(inner, content))
 
 
-def _product(f: Mapping[tuple, int], g: Mapping[tuple, int]) -> dict[tuple, int]:
-    """Bilinear extension of _pair_product to part-tuple terms, zero-free."""
+def _product(f: Mapping[tuple, int], g: Mapping[tuple, int]) -> Mapping[tuple, int]:
+    """Bilinear extension of _pair_product, zero-free; may be its cached proxy."""
+    if len(f) == len(g) == 1:
+        (mu, a), (nu, b) = *f.items(), *g.items()
+        if a == b == 1:
+            return _pair_product(mu, nu)
     acc: dict[tuple[int, ...], int] = defaultdict(int)
     for mu, a in f.items():
         for nu, b in g.items():

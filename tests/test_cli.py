@@ -602,6 +602,20 @@ class TestDeterminism:
         assert r.returncode == 0
         assert r.stdout.startswith("{\n")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["expand", "product", "-m", "3,2,1", "-v", "2,1"],
+            ["filter", "sxp", "-n", "2", "-l", "2,1", "--candidates"],
+        ],
+    )
+    def test_json_layout_is_json_dumps(self, cli_env, args):
+        # compact and --pretty stdout are json.dumps of the document itself
+        out = run_cli(args, cli_env).stdout
+        assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
+        out = run_cli([*args, "--pretty"], cli_env).stdout
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_shared_parser_keeps_no_state(self, cli_env):
         # main parses with one parser per process: each call in a row must
         # print what a fresh process prints for it alone

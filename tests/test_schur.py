@@ -28,6 +28,7 @@ from schurkit.schur import (
     _lr_walk,
     _pair_product,
     _power_plethysm,
+    _product,
     _product_coefficient,
 )
 
@@ -173,6 +174,31 @@ def _sxp_sides(n, lam, terms):
         return _schur_at([pow(xi, n, MERSENNE_61) for xi in x], lam[0])(lam)
 
     return _point_sides(terms, right, seed=n * sum(lam), rows=len(lam))
+
+
+def _plethysm_sides(mu, nu, terms):
+    """_point_sides for terms claimed to be s_mu o s_nu, mu and nu part tuples.
+
+    At x the plethysm is s_mu(y) over the monomials y of s_nu(x), read off
+    their power sums p_j(y) = s_nu(x_1^j, ..., x_k^j): h_j(y) by Newton's
+    identity j h_j = sum_{i=1..j} p_i h_{j-i}, then s_mu(y) =
+    det(h_{mu_i - i + j}) (Jacobi-Trudi).  s_mu o s_nu is a summand of
+    s_nu^|mu|, so its terms have at most |mu| len(nu) rows."""
+    p, m = MERSENNE_61, sum(mu)
+
+    def right(x, s):
+        power = [None] + [  # power[j] = p_j(y)
+            _schur_at([pow(xi, j, p) for xi in x], nu[0])(nu) for j in range(1, m + 1)
+        ]
+        h = [1]
+        for j in range(1, m + 1):
+            newton = sum(power[i] * h[j - i] for i in range(1, j + 1))
+            h.append(newton * pow(j, p - 2, p) % p)
+        matrix = [[h[a - i + j] if a - i + j >= 0 else 0 for j in range(len(mu))]
+                  for i, a in enumerate(mu)]
+        return _alternant(matrix, range(len(mu)))  # the determinant of matrix
+
+    return _point_sides(terms, right, seed=m * sum(nu), rows=m * len(nu))
 
 
 class TestLRPastOracle:
@@ -365,7 +391,53 @@ class TestLRWalkProperties:
                 ), (parts, lam)
 
 
+def _accumulate(f, g):
+    """f * g on part-tuple terms, one lr_coefficient per shape of the degree,
+    zero-free."""
+    degree = sum(next(iter(f))) + sum(next(iter(g)))
+    acc = defaultdict(int)
+    for mu, a in f.items():
+        for nu, b in g.items():
+            for lam in all_partitions(degree):
+                acc[lam.parts] += a * b * lr_coefficient(lam, P(mu), P(nu))
+    return {lam: c for lam, c in acc.items() if c}
+
+
 class TestSchurProduct:
+    def test_single_terms_give_the_cached_pair_product(self):
+        pairs = 0
+        for total in range(9):
+            for a in range(total + 1):
+                for mu in all_partitions(a):
+                    for nu in all_partitions(total - a):
+                        got = _product({mu.parts: 1}, {nu.parts: 1})
+                        assert got is _pair_product(mu.parts, nu.parts)
+                        assert got == _accumulate({mu.parts: 1}, {nu.parts: 1})
+                        pairs += 1
+        assert pairs == 434  # every (mu, nu) with |mu| + |nu| <= 8, empty ones too
+
+    @pytest.mark.parametrize(
+        "f,g",
+        [
+            ({(2, 1): 2}, {(1, 1): 1}),
+            ({(2, 1): 1}, {(2,): -1}),
+            ({(3,): -1}, {(1,): -1}),
+            ({(2,): 1, (1, 1): 1}, {(2, 1): 1}),
+            ({(2, 1): 1}, {(2,): 1, (1, 1): -3}),
+        ],
+    )
+    def test_scaled_or_longer_sides_give_the_scaled_sum(self, f, g):
+        assert _product(f, g) == _accumulate(f, g)
+
+    def test_returned_pair_product_refuses_writes(self):
+        # the mapping is the lru cache's own entry: a write would corrupt it
+        got = _product({(2, 1): 1}, {(1,): 1})
+        with pytest.raises(TypeError):
+            got[(3, 1)] = 5
+        with pytest.raises(TypeError):
+            del got[(2, 2)]
+        assert dict(got) == {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1}
+
     def test_pieri_square(self):
         e = schur_product(single(P([1])), single(P([1])))
         assert e == SchurExpansion(2, {P([2]): 1, P([1, 1]): 1})
@@ -791,6 +863,27 @@ class TestSchurPlethysmPastOracle:
         e = schur_plethysm(mu, nu)
         conj = {lam.conjugate(): c for lam, c in e.terms.items()}
         assert conj == dict(schur_plethysm(outer, nu.conjugate()).terms)
+
+    @pytest.mark.parametrize("mu,nu", PAIRS)
+    def test_every_coefficient_at_a_random_point(self, mu, nu):
+        # k = |mu| len(nu) <= 12 variables here; the principal
+        # specialization sets at most 8 and omega maps lam to lam', so a term
+        # with 9+ rows and a first row of 9+ is seen only here
+        terms = schur_plethysm(mu, nu)._parts
+        left, right = _plethysm_sides(mu.parts, nu.parts, terms)
+        assert left == right
+
+    def test_random_point_catches_one_moved_unit(self):
+        # one unit moved from a term of coefficient >= 2 to another term
+        # keeps the support and the coefficient sum; the point check sees it
+        mu, nu = self.PAIRS[6]  # s_111 o s_421, degree 21
+        terms = dict(schur_plethysm(mu, nu)._parts)
+        a = next(lam for lam, c in terms.items() if c >= 2)
+        b = next(lam for lam in terms if lam != a)
+        terms[a] -= 1
+        terms[b] += 1
+        left, right = _plethysm_sides(mu.parts, nu.parts, terms)
+        assert left != right
 
 
 class TestBoundary:
