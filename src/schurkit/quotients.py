@@ -187,7 +187,9 @@ def _quotient_walk(n: int, total: int, outer: Sequence[int],
     n = 1 themselves (p_1 o s_lam = s_lam, and lam is the only candidate).
     With M = n * c beads in all, the k-th largest bead is mu_k + M-1-k, so mu
     contains inner exactly when it is at least inner_k + M-1-k for every k.
-    An n over MAX_WALK_N raises ValueError before the walk starts."""
+    An n over MAX_WALK_N raises ValueError before the walk starts.  ``walk``
+    receives itself as its last argument, not through a closure cell, so no
+    cycle keeps a call's table alive once it returns."""
     if n > MAX_WALK_N:
         raise ValueError(f"n = {n} is over the quotient walk's bound of {MAX_WALK_N}")
     c = len(outer) + 1
@@ -204,11 +206,11 @@ def _quotient_walk(n: int, total: int, outer: Sequence[int],
                    for p in range(1, min(outer[r], q[-1] if q else left, left) + 1)]
     floor = [p + n * c - 1 - k for k, p in enumerate(inner)]
 
-    def walk(i, left, qs, beads):
+    def walk(i, left, qs, beads, walk):
         if i < n - 2:
             for size in range(left + 1):
                 for q, pos in table[i][size]:
-                    yield from walk(i + 1, left - size, qs + q, beads + pos)
+                    yield from walk(i + 1, left - size, qs + q, beads + pos, walk)
             return
         for size in range(left + 1):  # the last two runners in one frame
             for q, pos in table[i][size]:
@@ -219,7 +221,7 @@ def _quotient_walk(n: int, total: int, outer: Sequence[int],
                     if not floor or all(map(ge, b, floor)):
                         yield head + q2, b
 
-    return walk(0, total, (), [])
+    return walk(0, total, (), [], walk)
 
 
 def sxp_sign(mu: Partition, n: int) -> int:

@@ -146,7 +146,8 @@ def _lr_walk(
     strip's one last cell scans: its allowance is at least 1 where the scan
     starts and only grows, so the scan makes no lattice test.  The row that
     takes a strip's last cell records the leaf or opens the next letter
-    itself.
+    itself.  ``grow`` receives itself as its last argument, not through a
+    closure cell, so no cycle keeps a call's lists alive once it returns.
     """
     if outer is not None and not _contains(outer, inner):
         return {}
@@ -160,7 +161,7 @@ def _lr_walk(
     leaves: dict[tuple[int, ...], int] = {}
     count = leaves.get  # a plain dict: defaultdict's __missing__ costs per shape
 
-    def grow(k, r, left, slack, above, prev, strip) -> None:
+    def grow(k, r, left, slack, above, prev, strip, grow) -> None:
         # place `left` > 0 more cells of letter k+1 from row r down; `above`
         # is row r-1 before this strip, `slack` the lattice allowance at row
         # r, `prev` and `strip` the cells of letters k and k+1 in each row
@@ -186,7 +187,8 @@ def _lr_walk(
                     lam = tuple(shape)
                     leaves[lam] = count(lam, 0) + 1
                 else:  # letter k+2 opens at row k+1, see the docstring
-                    grow(k + 1, k + 1, content[k + 1], strip[k], shape[k], strip, strips[k + 1])
+                    grow(k + 1, k + 1, content[k + 1], strip[k], shape[k], strip, strips[k + 1],
+                         grow)
                 shape[r], strip[r] = old, 0
             if not old or r + 1 == rows:  # no row below an empty row has room
                 return
@@ -197,16 +199,16 @@ def _lr_walk(
             shape[r] = old + x
             strip[r] = x
             if x < left:
-                grow(k, r + 1, left - x, slack - x + gained, old, prev, strip)
+                grow(k, r + 1, left - x, slack - x + gained, old, prev, strip, grow)
             elif k == last:
                 lam = tuple(shape)
                 leaves[lam] = count(lam, 0) + 1
             else:
-                grow(k + 1, k + 1, content[k + 1], strip[k], shape[k], strip, strips[k + 1])
+                grow(k + 1, k + 1, content[k + 1], strip[k], shape[k], strip, strips[k + 1], grow)
         shape[r], strip[r] = old, 0
 
     strips = [[0] * rows for _ in content]  # every write is undone
-    grow(0, 0, content[0], _UNBOUNDED, _UNBOUNDED, [0] * rows, strips[0])
+    grow(0, 0, content[0], _UNBOUNDED, _UNBOUNDED, [0] * rows, strips[0], grow)
     # zeros only trail a partition, so counting them trims the padding
     return {lam[: len(lam) - lam.count(0)]: c for lam, c in leaves.items()}
 

@@ -1,3 +1,4 @@
+import gc
 import os
 import sys
 from pathlib import Path
@@ -14,3 +15,20 @@ def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+def _cyclic_garbage(call):
+    """What the cyclic collector finds after call() runs with it switched off:
+    0 when everything the call made was freed by reference counting."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.fixture
+def cyclic_garbage():
+    return _cyclic_garbage

@@ -589,6 +589,29 @@ class TestSweepsCallTheFilters:
         assert json.loads(out)["output"]["after_filter"] == "141"
 
 
+@pytest.mark.parametrize("args", [
+    ["expand", "product", "-m", "3,2,1", "-v", "2,1"],
+    ["expand", "sxp", "-n", "3", "-l", "2,1"],
+    ["expand", "plethysm", "-m", "2,1", "-v", "2,1"],
+    ["filter", "sxp", "-n", "3", "-l", "2,1", "--candidates"],
+    ["verify", "--scope", "all", "--max", "4"],
+    ["stats", "2", "2,1"],
+    ["expand", "sxp", "-n", "257", "-l", "1"],  # the walk bound's refusal
+    ["expand", "product", "-m", "x", "-v", "1"],  # a usage error
+], ids=["expand-product", "expand-sxp", "expand-plethysm", "filter-sxp-candidates",
+        "verify", "stats", "walk-bound", "usage-error"])
+def test_command_leaves_no_cyclic_garbage(args, cyclic_garbage):
+    # with the caches cleared every command walks afresh; whatever it made
+    # is freed by reference counting once main returns (the import, which
+    # builds the parser, is left outside the count)
+    import schurkit.cli
+    from schurkit.schur import _pair_product, _power_plethysm, sxp_plethysm
+
+    for cached in (_pair_product, _power_plethysm, sxp_plethysm):
+        cached.cache_clear()
+    assert cyclic_garbage(lambda: run_in_process(args)) == 0
+
+
 class TestDeterminism:
     def test_identical_payload_across_runs(self, cli_env):
         args = ["expand", "sxp", "-n", "2", "-l", "2,2"]

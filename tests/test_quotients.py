@@ -200,6 +200,17 @@ class TestQuotientWalk:
                     leaves += len(got)
         assert leaves > 300
 
+    def test_no_cyclic_garbage(self, cyclic_garbage):
+        # walk reaches itself through an argument, not a closure cell: the
+        # bead table is freed when the walk is exhausted or closed early
+        def first_leaf():
+            leaves = _quotient_walk(3, 8, (5, 3))
+            next(leaves)
+            leaves.close()
+
+        assert cyclic_garbage(lambda: list(_quotient_walk(3, 8, (5, 3)))) == 0
+        assert cyclic_garbage(first_leaf) == 0
+
 
 class TestRimHooks:
     def test_matches_diagram_definition(self):

@@ -390,6 +390,15 @@ class TestLRWalkProperties:
                     lam
                 ), (parts, lam)
 
+    def test_walk_leaves_no_cyclic_garbage(self, cyclic_garbage):
+        # grow reaches itself through an argument, not a closure cell, so
+        # the walk's lists are freed as soon as it returns
+        inner, content = (5, 4, 2, 1, 1, 1), (4, 2, 1, 1, 1, 1)
+        assert cyclic_garbage(lambda: _lr_walk(inner, content)) == 0
+        outer = (8, 6, 4, 3, 2, 2, 1, 1)
+        assert _lr_walk(inner, content, outer)
+        assert cyclic_garbage(lambda: _lr_walk(inner, content, outer)) == 0
+
 
 def _accumulate(f, g):
     """f * g on part-tuple terms, one lr_coefficient per shape of the degree,
@@ -826,6 +835,16 @@ class TestSchurPlethysm:
         monkeypatch.setattr(schurkit.schur, "_power_plethysm", one_piece)
         with pytest.raises(NonIntegralResultError):
             schur_plethysm(P([2]), P([1]))
+
+    def test_no_cyclic_garbage(self, cyclic_garbage):
+        # the LR and quotient walks under the products and plethysms free
+        # their working set on return, so the cyclic collector finds nothing
+        for cached in (_pair_product, _power_plethysm, sxp_plethysm):
+            cached.cache_clear()
+        factors = [P([3, 2, 1]), P([2, 1]), P([2])]
+        assert cyclic_garbage(lambda: multi_schur_product(factors)) == 0
+        assert cyclic_garbage(lambda: sxp_plethysm.__wrapped__(3, P([2, 1]))) == 0
+        assert cyclic_garbage(lambda: schur_plethysm(P([2, 1]), P([2, 1]))) == 0
 
 
 class TestSchurPlethysmPastOracle:
