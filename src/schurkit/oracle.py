@@ -45,7 +45,7 @@ def _table(n: int):
     row's k-strips are found once per k."""
     parts = all_partitions(n)
     index = {p.parts: i for i, p in enumerate(parts)}
-    sizes = tuple(factorial(n) // z_of(rho) for rho in parts)
+    sizes = tuple([factorial(n) // z_of(rho) for rho in parts])
     if not n:
         return parts, index, ((1,),), sizes
     columns, strips = [], {}  # k -> per row, its k-strips as (sub row, sign)
@@ -59,7 +59,7 @@ def _table(n: int):
             ]
         j = sub_index[rho.parts[:-1]]
         columns.append([sum(sub_rows[i][j] * s for i, s in row) for row in strips[k]])
-    return parts, index, tuple(zip(*columns)), sizes
+    return parts, index, tuple(list(zip(*columns))), sizes
 
 
 def _schur_in_p(mu: Partition) -> _PVec:
@@ -84,7 +84,7 @@ def _p_mult(a: _PVec, b: _PVec) -> _PVec:
 
 def _p_stretch(a: _PVec, n: int) -> _PVec:
     # p_n o p_rho multiplies every part by n; coefficients ride along
-    return {tuple(n * part for part in rho): c for rho, c in a.items()}
+    return {tuple([n * part for part in rho]): c for rho, c in a.items()}
 
 
 def _p_to_schur(degree: int, pterms: _PVec, scale: int) -> SchurExpansion:

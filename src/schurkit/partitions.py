@@ -43,7 +43,7 @@ class Partition:
     __slots__ = ("_parts", "_size")
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(map(index, parts))  # an int-like part, never a float or str
+        ps = (*map(index, parts),)  # int-like parts, never a float or str; exact size
         if ps and ps[-1] <= 0:  # clean input skips the stripping loop
             while ps and ps[-1] == 0:
                 ps = ps[:-1]
@@ -94,10 +94,8 @@ class Partition:
         return list(self._parts)
 
     def conjugate(self) -> "Partition":
-        """Transpose the diagram: column lengths become row lengths.  Column c
-        has length h for self[h] < c <= self[h - 1], one pass over the rows."""
-        heights = range(len(self._parts), 0, -1)
-        return Partition(h for h in heights for _ in range(self[h - 1] - self[h]))
+        """Transpose the diagram: column lengths become row lengths."""
+        return Partition._from_parts(_conjugate(self._parts))
 
     def contains(self, inner: "Partition") -> bool:
         """Diagram containment: every row of ``inner`` fits inside this one."""
@@ -120,6 +118,18 @@ class Partition:
                 f"dominance compares partitions of equal size, got {self._size} and {other.size}"
             )
         return _dominates(self._parts, other._parts)
+
+
+def _conjugate(parts: Sequence[int]) -> tuple[int, ...]:
+    """The conjugate of a partition's parts: column c has as many cells as
+    parts >= c, counted per value and summed from the right in a list, so the
+    tuple is built at its exact size (from an iterator it is over-allocated)."""
+    cols = [0] * (parts[0] if parts else 0)
+    for p in parts:
+        cols[p - 1] += 1
+    for c in range(len(cols) - 2, -1, -1):
+        cols[c] += cols[c + 1]
+    return tuple(cols)
 
 
 def _contains(outer: Sequence[int], inner: Sequence[int]) -> bool:
@@ -203,4 +213,4 @@ def partitions_of(n: int) -> Iterator[Partition]:
 @lru_cache(maxsize=64)
 def all_partitions(n: int) -> tuple[Partition, ...]:
     """Cached tuple of all partitions of n, descending lexicographic."""
-    return tuple(partitions_of(n))
+    return tuple(list(partitions_of(n)))

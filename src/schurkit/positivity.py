@@ -8,10 +8,11 @@ candidate that passes may still have coefficient zero.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from operator import add
 from typing import NamedTuple, Sequence
 
-from .partitions import Partition, Point, _contains, minkowski_sum, outer_corners
+from .partitions import Partition, Point, _conjugate, _contains, minkowski_sum, outer_corners
 from .quotients import _partition_from_beta, _quotient_walk
 
 
@@ -54,7 +55,7 @@ def lr_bound(mus: Sequence[Partition]) -> Partition:
     rows = mus[0].parts
     for mu in mus[1:]:
         a, b = rows + (0,) * len(mu), mu.parts + (0,) * len(rows)
-        rows = tuple(min(map(add, a[: r + 1], b[r::-1])) for r in range(len(a)))
+        rows = tuple([min(map(add, a[: r + 1], b[r::-1])) for r in range(len(a))])
     return Partition(rows)
 
 
@@ -67,20 +68,19 @@ def sxp_lower_check(lam: Sequence[int], mu: Sequence[int]) -> bool:
 def size_row_bound(total: int) -> Partition:
     """Row caps forced by size alone: a partition of ``total`` has r-th row
     of length at most total // r."""
-    return Partition(_row_caps(total, Partition()))
+    return Partition._from_parts(_row_caps(total, ()))
 
 
-def _row_caps(total: int, lam: Partition) -> list[int]:
-    """A partition of total containing lam has row r <= (total - |lam below r|) / r."""
+def _row_caps(total: int, parts: tuple[int, ...]) -> tuple[int, ...]:
+    """A partition of total containing parts has row r <= (total - |parts below r|) / r.
+    With total >= |parts| the caps fall weakly, so they are a partition's parts."""
     caps = []
-    tail = lam.size  # |(lam_{r+1}, lam_{r+2}, ...)| with r rows removed
-    r = 0
-    while True:
-        r += 1
-        tail -= lam[r - 1]
+    tail = sum(parts)  # |(parts_{r+1}, parts_{r+2}, ...)| with r rows removed
+    for r, part in enumerate(chain(parts, repeat(0)), 1):
+        tail -= part
         cap = (total - tail) // r
         if cap < 1:
-            return caps
+            return tuple(caps)
         caps.append(cap)
 
 
@@ -96,13 +96,10 @@ def sxp_upper_bound(n: int, lam: Partition) -> BoundPair:
     if n < 1:
         raise ValueError("plethysm exponent n must be >= 1")
     total = n * lam.size
-    xi1 = Partition(_row_caps(total, lam))
-    col_caps = _row_caps(total, lam.conjugate())
-    xi2 = Partition(col_caps).conjugate()
-    inter = Partition(
-        min(xi1[i], xi2[i]) for i in range(min(len(xi1), len(xi2)))
-    )
-    return BoundPair(xi1=xi1, xi2=xi2, intersection=inter)
+    xi1 = _row_caps(total, lam.parts)
+    xi2 = _conjugate(_row_caps(total, _conjugate(lam.parts)))
+    inter = tuple([min(a, b) for a, b in zip(xi1, xi2)])
+    return BoundPair(*map(Partition._from_parts, (xi1, xi2, inter)))
 
 
 def plethysm_filter_check(nu: Sequence[int], lam: Sequence[int]) -> bool:

@@ -24,7 +24,7 @@ from math import factorial
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .partitions import Partition, _contains, all_partitions
+from .partitions import Partition, _conjugate, _contains, all_partitions
 from .quotients import _abacus_sign, _partition_from_beta, _quotient_walk, _rim_hooks
 
 
@@ -369,20 +369,28 @@ def schur_plethysm(mu: Partition, nu: Partition) -> SchurExpansion:
     chi^mu(rho) * m!/z_rho (the class size of rho times the character), and
     each coefficient is divided by m! once.  The division is always exact; a
     remainder would be an internal bug and raises NonIntegralResultError.
+
+    As omega(s_mu o s_nu) is s_mu o s_nu' for |nu| even and s_mu' o s_nu' for
+    |nu| odd (Macdonald I.8 Ex. 1), a nu with more rows than columns is summed
+    as nu' and the answer's keys conjugated, so the LR walks have fewer letters.
     """
     m = mu.size
     scale = factorial(m)
+    flip = nu[0] < len(nu)
+    outer = mu.parts if not flip or nu.size % 2 == 0 else _conjugate(mu.parts)
+    inner = _conjugate(nu.parts) if flip else nu.parts
     acc: dict[tuple[int, ...], int] = defaultdict(int)
-    for rho, weight in _plethysm_weights(mu.parts):
-        for lam, c in _power_plethysm(rho, nu.parts).items():
+    for rho, weight in _plethysm_weights(outer):
+        for lam, c in _power_plethysm(rho, inner).items():
             acc[lam] += weight * c
     terms = {}
     for lam, val in acc.items():
         coeff, rem = divmod(val, scale)
         if rem:
+            lam = _conjugate(lam) if flip else lam
             raise NonIntegralResultError(
                 f"coefficient of s_{list(lam)} is {val}/{scale}, not an integer"
             )
         if coeff:
-            terms[lam] = coeff
+            terms[_conjugate(lam) if flip else lam] = coeff
     return SchurExpansion._from_parts(m * nu.size, terms)

@@ -16,6 +16,7 @@ from schurkit import (
     partitions_of,
     z_of,
 )
+from schurkit.partitions import _conjugate
 
 P = Partition
 
@@ -144,6 +145,18 @@ class TestConjugate:
                 width = lam[0]
                 counts = [sum(1 for p in lam if p >= c) for c in range(1, width + 1)]
                 assert lam.conjugate() == P(counts), lam
+
+    def test_parts_rule_matches_the_generator_rule(self):
+        # column c has length h for lam[h] < c <= lam[h - 1]: the rule the
+        # part-counting _conjugate replaced
+        def by_heights(lam):
+            heights = range(len(lam), 0, -1)
+            return tuple(h for h in heights for _ in range(lam[h - 1] - lam[h]))
+
+        assert _conjugate(()) == ()
+        for n in range(13):
+            for lam in all_partitions(n):
+                assert _conjugate(lam.parts) == by_heights(lam), lam
 
     def test_size_row_bound_is_self_conjugate(self):
         # (n, n//2, n//3, ...) has n//c parts >= c; at this width a

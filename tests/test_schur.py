@@ -27,6 +27,7 @@ from schurkit.quotients import MAX_WALK_N
 from schurkit.schur import (
     _lr_walk,
     _pair_product,
+    _plethysm_weights,
     _power_plethysm,
     _product,
     _product_coefficient,
@@ -781,6 +782,18 @@ class TestSxpPastOracle:
         assert left != right
 
 
+def _rho_sum(mu, nu):
+    """s_mu o s_nu on part tuples as the rho sum over (mu, nu) as given, never
+    walked as the conjugate: the reference for schur_plethysm's flip."""
+    acc = defaultdict(int)
+    for rho, weight in _plethysm_weights(mu):
+        for lam, c in _power_plethysm(rho, nu).items():
+            acc[lam] += weight * c
+    scale = factorial(sum(mu))
+    assert all(val % scale == 0 for val in acc.values())
+    return {lam: val // scale for lam, val in acc.items() if val}
+
+
 class TestSchurPlethysm:
     def test_identity(self):
         for nu in all_partitions(4):
@@ -836,6 +849,46 @@ class TestSchurPlethysm:
         with pytest.raises(NonIntegralResultError):
             schur_plethysm(P([2]), P([1]))
 
+    def test_remainder_names_the_output_partition(self, monkeypatch):
+        # s_2 o s_11 runs on nu' = (2); the error names (3,1)' = (2,1,1), the
+        # index of the answer's term, not the conjugate the sum ran on
+        import schurkit.schur
+
+        def one_piece(rho, nu):
+            return {(3, 1): 1} if rho == (2,) else {}
+
+        monkeypatch.setattr(schurkit.schur, "_power_plethysm", one_piece)
+        with pytest.raises(NonIntegralResultError, match=r"s_\[2, 1, 1\] is 1/2"):
+            schur_plethysm(P([2]), P([1, 1]))
+
+    def test_tall_nu_is_walked_as_its_conjugate(self, monkeypatch):
+        # the rho sum receives nu' exactly when nu has more rows than columns
+        import schurkit.schur
+
+        seen = []
+
+        def recording(rho, nu):
+            seen.append(nu)
+            return _power_plethysm(rho, nu)
+
+        monkeypatch.setattr(schurkit.schur, "_power_plethysm", recording)
+        for nu in (nu for n in range(1, 8) for nu in all_partitions(n)):
+            seen.clear()
+            schur_plethysm(P([2, 1]), nu)
+            want = nu.conjugate() if nu[0] < len(nu) else nu
+            assert set(seen) == {want.parts}, nu
+
+    def test_flip_matches_the_unflipped_sum(self):
+        # every tall nu with |mu||nu| <= 14, against the sum run on nu itself
+        tall = [nu for n in range(1, 15) for nu in all_partitions(n) if nu[0] < len(nu)]
+        checked = 0
+        for mu in (mu for m in range(1, 5) for mu in all_partitions(m)):
+            for nu in tall:
+                if mu.size * nu.size <= 14:
+                    assert schur_plethysm(mu, nu)._parts == _rho_sum(mu.parts, nu.parts)
+                    checked += 1
+        assert checked == 285
+
     def test_no_cyclic_garbage(self, cyclic_garbage):
         # the LR and quotient walks under the products and plethysms free
         # their working set on return, so the cyclic collector finds nothing
@@ -877,11 +930,13 @@ class TestSchurPlethysmPastOracle:
     @pytest.mark.parametrize("mu,nu", PAIRS)
     def test_omega_symmetry(self, mu, nu):
         # omega(s_mu o s_nu) = s_mu o s_nu' for |nu| even and s_mu' o s_nu'
-        # for |nu| odd (Macdonald I.8 Ex. 1); omega conjugates every index
+        # for |nu| odd (Macdonald I.8 Ex. 1); omega conjugates every index.
+        # schur_plethysm itself runs a tall nu through this identity, so the
+        # right side is the rho sum on nu', never flipped back
         outer = mu if nu.size % 2 == 0 else mu.conjugate()
         e = schur_plethysm(mu, nu)
-        conj = {lam.conjugate(): c for lam, c in e.terms.items()}
-        assert conj == dict(schur_plethysm(outer, nu.conjugate()).terms)
+        conj = {lam.conjugate().parts: c for lam, c in e.terms.items()}
+        assert conj == _rho_sum(outer.parts, nu.conjugate().parts)
 
     @pytest.mark.parametrize("mu,nu", PAIRS)
     def test_every_coefficient_at_a_random_point(self, mu, nu):
