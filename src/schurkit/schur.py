@@ -373,8 +373,13 @@ def schur_plethysm(mu: Partition, nu: Partition) -> SchurExpansion:
     As omega(s_mu o s_nu) is s_mu o s_nu' for |nu| even and s_mu' o s_nu' for
     |nu| odd (Macdonald I.8 Ex. 1), a nu with more rows than columns is summed
     as nu' and the answer's keys conjugated, so the LR walks have fewer letters.
+    An inner factor of size at most one needs no sum: s_mu o s_1 = s_mu, and
+    s_mu o s_() = s_mu(1), which is 1 when mu has at most one row and 0 else.
     """
     m = mu.size
+    if nu.size <= 1:
+        terms = {mu.parts: 1} if nu.size else {(): 1} if len(mu) <= 1 else {}
+        return SchurExpansion._from_parts(m * nu.size, terms)
     scale = factorial(m)
     flip = nu[0] < len(nu)
     outer = mu.parts if not flip or nu.size % 2 == 0 else _conjugate(mu.parts)

@@ -198,12 +198,12 @@ class TestExpand:
         import schurkit.cli
         import schurkit.schur
 
-        # only the rho = (2) piece of s_2 o s_1 survives, so 1/2 is left on s_2
+        # only the rho = (2) piece of s_2 o s_2 survives, so 1/2 is left on s_2
         def one_piece(rho, nu):
             return {(2,): 1} if rho == (2,) else {}
 
         monkeypatch.setattr(schurkit.schur, "_power_plethysm", one_piece)
-        assert schurkit.cli.main(["expand", "plethysm", "-m", "2", "-v", "1"]) == 1
+        assert schurkit.cli.main(["expand", "plethysm", "-m", "2", "-v", "2"]) == 1
         assert "internal error" in capsys.readouterr().err
 
     def test_internal_type_error_is_not_a_usage_error(self, monkeypatch, capsys):

@@ -832,13 +832,39 @@ class TestSchurPlethysm:
         for cached in (_pair_product, _power_plethysm, sxp_plethysm):
             cached.cache_clear()
         for mu in (P([2]), P([1, 1]), P([3]), P([2, 1]), P([2, 2])):
-            for nu in (P([1]), P([2]), P([1, 1]), P([2, 1])):
+            for nu in (P([3]), P([2]), P([1, 1]), P([2, 1])):
                 schur_plethysm(mu, nu)
         assert len(empty) > 100
         assert not any(empty)
 
+    def test_inner_factor_of_size_at_most_one(self, monkeypatch):
+        # s_mu o s_1 = s_mu and s_mu o s_() = [len(mu) <= 1], answered without
+        # the rho sum, which stays the reference for both identities
+        import schurkit.schur
+
+        called = []
+
+        def recording(rho, nu):
+            called.append((rho, nu))
+            return _power_plethysm(rho, nu)
+
+        monkeypatch.setattr(schurkit.schur, "_power_plethysm", recording)
+        mus = [mu for m in range(9) for mu in all_partitions(m)]
+        assert len(mus) == 67
+        for mu in mus:
+            for nu in (P(), P([1])):
+                e = schur_plethysm(mu, nu)
+                if nu:
+                    want = {mu.parts: 1}
+                else:
+                    want = {(): 1} if len(mu) <= 1 else {}
+                assert e.degree == mu.size * nu.size
+                assert e._parts == want, (mu, nu)
+                assert want == _rho_sum(mu.parts, nu.parts), (mu, nu)
+        assert not called
+
     def test_remainder_raises(self, monkeypatch):
-        # keep only the rho = (2) piece of s_2 o s_1: its weight
+        # keep only the rho = (2) piece of s_2 o s_2: its weight
         # chi^(2)((2)) * 2!/z_(2) = 1 leaves 1/2 on s_2
         import schurkit.schur
 
@@ -847,7 +873,7 @@ class TestSchurPlethysm:
 
         monkeypatch.setattr(schurkit.schur, "_power_plethysm", one_piece)
         with pytest.raises(NonIntegralResultError):
-            schur_plethysm(P([2]), P([1]))
+            schur_plethysm(P([2]), P([2]))
 
     def test_remainder_names_the_output_partition(self, monkeypatch):
         # s_2 o s_11 runs on nu' = (2); the error names (3,1)' = (2,1,1), the
@@ -862,7 +888,8 @@ class TestSchurPlethysm:
             schur_plethysm(P([2]), P([1, 1]))
 
     def test_tall_nu_is_walked_as_its_conjugate(self, monkeypatch):
-        # the rho sum receives nu' exactly when nu has more rows than columns
+        # the rho sum receives nu' exactly when nu has more rows than columns;
+        # a nu of size 0 or 1 is answered by identity and reaches no sum
         import schurkit.schur
 
         seen = []
@@ -872,7 +899,10 @@ class TestSchurPlethysm:
             return _power_plethysm(rho, nu)
 
         monkeypatch.setattr(schurkit.schur, "_power_plethysm", recording)
-        for nu in (nu for n in range(1, 8) for nu in all_partitions(n)):
+        for nu in (P(), P([1])):
+            schur_plethysm(P([2, 1]), nu)
+        assert not seen
+        for nu in (nu for n in range(2, 8) for nu in all_partitions(n)):
             seen.clear()
             schur_plethysm(P([2, 1]), nu)
             want = nu.conjugate() if nu[0] < len(nu) else nu

@@ -132,6 +132,15 @@ MUTANTS = [
      "            lam = _conjugate(lam) if flip else lam\n",
      "",
      [f"{SCHUR}::TestSchurPlethysm::test_remainder_names_the_output_partition"]),
+    ("schur.py",  # the identity narrowed to nu = (): s_mu o s_1 runs the rho sum,
+     # the same answers, so only the no-sum check sees it
+     "if nu.size <= 1:",
+     "if nu.size < 1:",
+     [f"{SCHUR}::TestSchurPlethysm::test_inner_factor_of_size_at_most_one"]),
+    ("schur.py",  # s_mu o 1 read as 1 for every mu, also with two or more rows
+     "{(): 1} if len(mu) <= 1 else {}",
+     "{(): 1}",
+     [f"{SCHUR}::TestSchurPlethysm::test_inner_factor_of_size_at_most_one"]),
     ("schur.py",  # |chi| for chi in the plethysm weights
      "out.append((rho.parts, chi * (scale // z_of(rho))))",
      "out.append((rho.parts, abs(chi) * (scale // z_of(rho))))",
