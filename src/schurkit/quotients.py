@@ -25,7 +25,7 @@ layout: ``_quotient_walk`` runs over the n-quotients of int part tuples
 inside an outer shape, places each with the empty core, and hands back its
 beads in descending order, keeping only those whose partition contains a
 given inner shape.  Its table shares the bottom run of beads below the
-shapes of one row count, and the last two runners share one frame.  A
+shapes of one row count, and the walk runs from one explicit stack.  A
 caller reads its answer off the beads with ``_partition_from_beta`` and
 ``_abacus_sign``.
 """
@@ -169,7 +169,7 @@ def reconstruct(n: int, core: Partition, quotient: Sequence[Partition]) -> Parti
     return Partition(_place(n, counts, quotient))
 
 
-# a frame per runner, well inside the recursion limit; n = 256 takes ~1 s on (1)
+# a bound on time, not on depth: n = 256 takes ~1 s on (1)
 MAX_WALK_N = 256
 
 
@@ -182,14 +182,13 @@ def _quotient_walk(n: int, total: int, outer: Sequence[int],
     beads, more than any component has parts, so a component's positions on
     runner i do not depend on the others: one table per call holds them, its
     parts' beads (grown row by row) and then the run below, one run shared by
-    all shapes of as many rows.  The last two runners share one frame, with
-    no generator per shape, so the walk takes n >= 2: both callers answer
-    n = 1 themselves (p_1 o s_lam = s_lam, and lam is the only candidate).
+    all shapes of as many rows.  The walk pops (runner, cells left,
+    components, beads) entries off one list and nests no frame per runner,
+    so it takes any n >= 1; both callers still answer n = 1 themselves, with
+    no table (p_1 o s_lam = s_lam, and lam is the only candidate).
     With M = n * c beads in all, the k-th largest bead is mu_k + M-1-k, so mu
     contains inner exactly when it is at least inner_k + M-1-k for every k.
-    An n over MAX_WALK_N raises ValueError before the walk starts.  ``walk``
-    receives itself as its last argument, not through a closure cell, so no
-    cycle keeps a call's table alive once it returns."""
+    An n over MAX_WALK_N raises ValueError before the table is built."""
     if n > MAX_WALK_N:
         raise ValueError(f"n = {n} is over the quotient walk's bound of {MAX_WALK_N}")
     c = len(outer) + 1
@@ -206,22 +205,19 @@ def _quotient_walk(n: int, total: int, outer: Sequence[int],
                    for p in range(1, min(outer[r], q[-1] if q else left, left) + 1)]
     floor = [p + n * c - 1 - k for k, p in enumerate(inner)]
 
-    def walk(i, left, qs, beads, walk):
-        if i < n - 2:
-            for size in range(left + 1):
-                for q, pos in table[i][size]:
-                    yield from walk(i + 1, left - size, qs + q, beads + pos, walk)
-            return
-        for size in range(left + 1):  # the last two runners in one frame
-            for q, pos in table[i][size]:
-                head, start = qs + q, beads + pos
-                for q2, pos2 in table[i + 1][left - size]:
-                    b = start + pos2
-                    b.sort(reverse=True)
-                    if not floor or all(map(ge, b, floor)):
-                        yield head + q2, b
-
-    return walk(0, total, (), [], walk)
+    stack = [(0, total, (), [])]  # runner, cells left, components, beads so far
+    while stack:
+        i, left, qs, beads = stack.pop()
+        if i < n - 1:  # children pushed in reverse, so they pop in table order
+            for size in range(left, -1, -1):
+                for q, pos in reversed(table[i][size]):
+                    stack.append((i + 1, left - size, qs + q, beads + pos))
+            continue
+        for q, pos in table[i][left]:
+            b = beads + pos
+            b.sort(reverse=True)
+            if not floor or all(map(ge, b, floor)):
+                yield qs + q, b
 
 
 def sxp_sign(mu: Partition, n: int) -> int:

@@ -218,7 +218,13 @@ class TestEnumerateCandidates:
         assert support <= cands
         assert len(support) == 12
 
-    def test_identity_exponent(self):
+    def test_identity_exponent(self, monkeypatch):
+        import schurkit.positivity
+
+        def no_walk(*args):
+            raise AssertionError("n = 1 walked the n-quotients")
+
+        monkeypatch.setattr(schurkit.positivity, "_quotient_walk", no_walk)
         for lam in all_partitions(4):
             assert enumerate_candidates(1, lam) == [lam]
         # p(60) = 966467: the walk must not visit every partition of |lam|

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 from operator import ge
 
 import pytest
@@ -14,7 +16,9 @@ from schurkit import (
     sxp_plethysm,
     sxp_sign,
 )
+from schurkit.positivity import _candidate_parts
 from schurkit.quotients import (
+    MAX_WALK_N,
     _abacus_sign,
     _beta_set,
     _has_empty_core,
@@ -23,6 +27,7 @@ from schurkit.quotients import (
     _rim_hooks,
     _runners,
 )
+from schurkit.schur import _product_coefficient
 
 P = Partition
 
@@ -161,7 +166,7 @@ class TestPartitionFromBeta:
 
 
 class TestQuotientWalk:
-    @pytest.mark.parametrize("n", range(2, 5))
+    @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_brute_force(self, n):
         # every yielded quotient once, with strictly descending beads that give
         # reconstruct's mu; a nonempty inner keeps exactly the quotients whose
@@ -186,7 +191,7 @@ class TestQuotientWalk:
                     dropped += len(mus) - len(walk)
         assert checked > 40 and dropped > 20
 
-    @pytest.mark.parametrize("n", range(2, 5))
+    @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_reference_walk_in_order(self, n):
         # the leaf order is what sxp_plethysm's term dict, and so the sweeps'
         # first bad term, follows: the same quotients and beads, in order
@@ -200,9 +205,34 @@ class TestQuotientWalk:
                     leaves += len(got)
         assert leaves > 300
 
+    def test_bound_runs_near_the_recursion_limit(self):
+        # the walk nests no frame per runner: at n = MAX_WALK_N it runs from
+        # a caller already within 150 frames of the recursion limit
+        def near_limit(depth):
+            if depth < sys.getrecursionlimit() - 150:
+                return near_limit(depth + 1)
+            return list(_quotient_walk(MAX_WALK_N, 1, (1,)))
+
+        leaves = near_limit(len(inspect.stack(0)))
+        assert [qs.index((1,)) for qs, _ in leaves] == list(range(MAX_WALK_N - 1, -1, -1))
+
+    def test_identity_arms_match_the_walk(self):
+        # at n = 1 both callers skip the walk; what they answer is what the
+        # walk gives: lam is the only candidate, and p_1 o s_lam = s_lam
+        for size in range(8):
+            for lam in all_partitions(size):
+                walk = list(_quotient_walk(1, size, (size,) * size, lam.parts))
+                assert [_partition_from_beta(b) for _, b in walk] == [lam.parts]
+                assert _candidate_parts(1, lam) == [lam.parts]
+                terms = {
+                    _partition_from_beta(b): _product_coefficient(lam.parts, qs) * _abacus_sign(b, 1)
+                    for qs, b in _quotient_walk(1, size, lam.parts)
+                }
+                assert sxp_plethysm(1, lam)._parts == terms, lam
+
     def test_no_cyclic_garbage(self, cyclic_garbage):
-        # walk reaches itself through an argument, not a closure cell: the
-        # bead table is freed when the walk is exhausted or closed early
+        # the walk holds its table and stack in its own frame: they are
+        # freed when the walk is exhausted or closed early
         def first_leaf():
             leaves = _quotient_walk(3, 8, (5, 3))
             next(leaves)

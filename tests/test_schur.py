@@ -645,8 +645,8 @@ class TestSxpPlethysm:
                 assert sxp_plethysm(1, lam) == single(lam)
 
     def test_walk_bound_is_reachable(self):
-        # at n = MAX_WALK_N the walk still runs, under the test runner's own
-        # stack: p_n o s_1 = p_n is the sum of (-1)^b s_(n-b, 1^b)
+        # the walk runs at n = MAX_WALK_N itself, from any caller's stack:
+        # p_n o s_1 = p_n is the sum of (-1)^b s_(n-b, 1^b)
         n = MAX_WALK_N
         hooks = {P([n - b] + [1] * b): (-1) ** b for b in range(n)}
         assert sxp_plethysm(n, P([1])) == SchurExpansion(n, hooks)

@@ -183,10 +183,14 @@ MUTANTS = [
      "return -1 if inversions % 2 else 1",
      "return 1 if inversions % 2 else -1",
      [f"{QUOT}::TestSxpSign"]),
-    ("quotients.py",  # walk reaches itself through its closure cell: a cycle, same answers
-     "def walk(i, left, qs, beads, walk):",
-     "def walk(i, left, qs, beads, _):",
-     [f"{QUOT}::TestQuotientWalk::test_no_cyclic_garbage"]),
+    ("quotients.py",  # children pushed in table order: they pop reversed
+     "for q, pos in reversed(table[i][size]):",
+     "for q, pos in table[i][size]:",
+     [f"{QUOT}::TestQuotientWalk"]),
+    ("quotients.py",  # the last two runners read as one: n-1 components
+     "if i < n - 1:",
+     "if i < n - 2:",
+     [f"{QUOT}::TestQuotientWalk"]),
     ("quotients.py",  # containment floor skipped
      "if not floor or all(map(ge, b, floor)):",
      "if True:",
@@ -200,7 +204,7 @@ MUTANTS = [
      "floor = [p + n * c - 2 - k for",
      [f"{QUOT}::TestQuotientWalk"]),
     ("quotients.py",  # leaf beads left unsorted
-     "                    b.sort(reverse=True)\n",
+     "            b.sort(reverse=True)\n",
      "",
      [f"{QUOT}::TestQuotientWalk"]),
     ("quotients.py",  # a wrong runner shift in the walk's table: runner i's
