@@ -17,15 +17,15 @@ one bottom bead per runner, so the runner labelling, core and quotient are
 all independent of the padding.  Runner k carries quotient component k.
 
 The walk's table and ``_abacus_sign``'s runner keys keep their own forms on
-the hot SXP path: the table built from ``_beta_set`` measured 1.07x slower,
-and cProfile puts the sign at about 9% of the SXP path's own time.
+the hot SXP path: the table built from ``_beta_set`` measured 1.07-1.09x
+slower, and cProfile puts the sign at about 9% of the SXP path's own time.
 
 The SXP index set lives here, and so does the only knowledge of its bead
 layout: ``_quotient_walk`` runs over the n-quotients of int part tuples
 inside an outer shape, places each with the empty core, and hands back its
 beads in descending order, keeping only those whose partition contains a
-given inner shape.  Its table shares the bottom run of beads below the
-shapes of one row count, and the walk runs from one explicit stack.  A
+given inner shape.  It lists each shape once, with its beads on runner 0,
+places that list on every runner, and runs from one explicit stack.  A
 caller reads its answer off the beads with ``_partition_from_beta`` and
 ``_abacus_sign``.
 """
@@ -169,7 +169,7 @@ def reconstruct(n: int, core: Partition, quotient: Sequence[Partition]) -> Parti
     return Partition(_place(n, counts, quotient))
 
 
-# a bound on time, not on depth: n = 256 takes ~1 s on (1)
+# a bound on n alone, not on the walk's work; its exact leaf count is to replace it
 MAX_WALK_N = 256
 
 
@@ -178,31 +178,29 @@ def _quotient_walk(n: int, total: int, outer: Sequence[int],
     """Every n-quotient of size ``total`` whose components fit inside
     ``outer``, as part tuples, with the beads of the partition mu it gives
     with the empty core, in descending order; only the quotients whose mu
-    contains ``inner`` are kept.  Every runner holds c = len(outer) + 1
-    beads, more than any component has parts, so a component's positions on
-    runner i do not depend on the others: one table per call holds them, its
-    parts' beads (grown row by row) and then the run below, one run shared by
-    all shapes of as many rows.  The walk pops (runner, cells left,
-    components, beads) entries off one list and nests no frame per runner,
-    so it takes any n >= 1; both callers still answer n = 1 themselves, with
-    no table (p_1 o s_lam = s_lam, and lam is the only candidate).
+    contains ``inner`` are kept.  Every runner holds c = len(outer) + 1 beads,
+    more than any component has parts, so a component's beads on runner i are
+    its beads on runner 0 plus i: the table lists each shape once by size, its
+    parts' beads grown row by row and one bead per level below, then shifts
+    the list to every runner.  The walk pops (runner, cells left, components,
+    beads) entries off one list and nests no frame per runner, so it takes any
+    n >= 1; both callers still answer n = 1 themselves, with no table
+    (p_1 o s_lam = s_lam, and lam is the only candidate).
     With M = n * c beads in all, the k-th largest bead is mu_k + M-1-k, so mu
     contains inner exactly when it is at least inner_k + M-1-k for every k.
     An n over MAX_WALK_N raises ValueError before the table is built."""
     if n > MAX_WALK_N:
         raise ValueError(f"n = {n} is over the quotient walk's bound of {MAX_WALK_N}")
     c = len(outer) + 1
-    runs = [[n * b + i for b in range(c - 1, -1, -1)] for i in range(n)]
-    table = [[[] for _ in range(total + 1)] for _ in range(n)]
+    shapes = [[] for _ in range(total + 1)]  # by size: q as a 1-tuple, beads on runner 0
     row = [((), total, [])]  # shapes of r rows, cells left, their parts' beads
     for r in range(c):
-        tails = [run[r:] for run in runs]  # the run below every shape of r rows
-        for q, left, nb in row:  # shifted onto every runner, q as a 1-tuple
-            for i, sizes in enumerate(table):
-                sizes[total - left].append(((q,), [b + i for b in nb] + tails[i]))
+        for q, left, nb in row:  # the parts' beads, then one bead per level c-1-r .. 0
+            shapes[total - left].append(((q,), nb + [n * b for b in range(c - 1 - r, -1, -1)]))
         if r < len(outer):
             row = [(q + (p,), left - p, nb + [n * (p + c - 1 - r)]) for q, left, nb in row
                    for p in range(1, min(outer[r], q[-1] if q else left, left) + 1)]
+    table = [[[(q, [b + i for b in pos]) for q, pos in s] for s in shapes] for i in range(n)]
     floor = [p + n * c - 1 - k for k, p in enumerate(inner)]
 
     stack = [(0, total, (), [])]  # runner, cells left, components, beads so far

@@ -186,7 +186,12 @@ class TestExpand:
 
     def test_product_too_deep_exit_2(self, cli_env):
         # the LR walk nests a frame per letter, so 990 letters pass the
-        # recursion limit; main refuses the input in one line, at once
+        # recursion limit; main refuses the input in one line, at once.
+        # This pins the `python -m` process: the refusal depends on the
+        # caller's stack, and cli.main called in process from a shallow stack
+        # returns the 991 terms after about 40 s.  ROADMAP items 9 (the LR
+        # walk on an explicit stack) and 11 (tall products walked as their
+        # conjugates) own the fix.
         ones = ",".join(["1"] * 990)
         started = time.perf_counter()
         r = run_cli(["expand", "product", "-m", ones, "-v", ones], cli_env)

@@ -41,6 +41,7 @@ PART = "tests/test_partitions.py"
 ORACLE = "tests/test_oracle.py"
 CLI = "tests/test_cli.py"
 INJECTED = f"{CLI}::TestInjectedViolations"
+BYTES = "tests/test_same_bytes.py"
 
 MUTANTS = [
     # --- schur.py: the LR walk and the SXP fold
@@ -208,13 +209,13 @@ MUTANTS = [
      "",
      [f"{QUOT}::TestQuotientWalk"]),
     ("quotients.py",  # a wrong runner shift in the walk's table: runner i's
-     # entries get the beads, parts and bottom run, of runner n-1-i
-     "for i, sizes in enumerate(table):",
-     "for i, sizes in zip(range(n - 1, -1, -1), table):",
+     # entries get the beads of runner n-1-i
+     "for s in shapes] for i in range(n)]",
+     "for s in shapes] for i in range(n - 1, -1, -1)]",
      [f"{QUOT}::TestQuotientWalk"]),
-    ("quotients.py",  # the shared bottom runs taken one level off
-     "for b in range(c - 1, -1, -1)]",
-     "for b in range(c, 0, -1)]",
+    ("quotients.py",  # the shapes placed on runners 0 .. n-2 only
+     "for s in shapes] for i in range(n)]",
+     "for s in shapes] for i in range(n - 1)]",
      [f"{QUOT}::TestQuotientWalk"]),
     ("quotients.py",  # empty-core test loosened to two runner lengths
      "return len({len(r) for r in _runners(mu, n)[1]}) == 1",
@@ -398,6 +399,15 @@ MUTANTS = [
      "",
      [f"{CLI}::TestVerify::test_unknown_scope_raises"]),
     # --- cli.py
+    ("cli.py",  # a refusal reworded: only the same-bytes digest reads its words
+     "verify --max must be a degree >= 0, got",
+     "verify --max must be a degree of 0 or more, got",
+     [BYTES]),
+    ("cli.py",  # the corners of one or two factors printed in reverse; the
+     # three factors of test_lr_theta keep their order
+     "[list(p) for p in sorted(corners)]",
+     "[list(p) for p in sorted(corners, reverse=len(args.mu) < 3)]",
+     [BYTES]),
     ("cli.py",  # main exits 0 on a failed verify
      'return FAILURE if output.get("status") == "fail" else 0',
      "return 0",
