@@ -44,11 +44,10 @@ class Partition:
 
     def __init__(self, parts: Iterable[int] = ()):
         ps = (*map(index, parts),)  # int-like parts, never a float or str; exact size
-        if ps and ps[-1] <= 0:  # clean input skips the stripping loop
-            while ps and ps[-1] == 0:
-                ps = ps[:-1]
-            if ps and ps[-1] < 0:
-                raise ValueError(f"parts must be positive, got {ps}")
+        while ps and ps[-1] == 0:  # clean input stops at the first test
+            ps = ps[:-1]
+        if ps and ps[-1] < 0:
+            raise ValueError(f"parts must be positive, got {ps}")
         if any(map(lt, ps, ps[1:])):
             raise ValueError(f"parts must be weakly decreasing, got {ps}")
         self._parts = ps

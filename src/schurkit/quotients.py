@@ -186,8 +186,8 @@ def _quotient_walk(n: int, total: int, outer: Sequence[int],
     beads) entries off one list and nests no frame per runner, so it takes any
     n >= 1; both callers still answer n = 1 themselves, with no table
     (p_1 o s_lam = s_lam, and lam is the only candidate).
-    With M = n * c beads in all, the k-th largest bead is mu_k + M-1-k, so mu
-    contains inner exactly when it is at least inner_k + M-1-k for every k.
+    With M = n * c beads in all, the k-th largest bead is mu_k + M-1-k: every leaf
+    is tested on the floor inner_k + M-1-k, met for all k iff mu contains inner.
     An n over MAX_WALK_N raises ValueError before the table is built."""
     if n > MAX_WALK_N:
         raise ValueError(f"n = {n} is over the quotient walk's bound of {MAX_WALK_N}")
@@ -214,7 +214,7 @@ def _quotient_walk(n: int, total: int, outer: Sequence[int],
         for q, pos in table[i][left]:
             b = beads + pos
             b.sort(reverse=True)
-            if not floor or all(map(ge, b, floor)):
+            if all(map(ge, b, floor)):
                 yield qs + q, b
 
 

@@ -249,10 +249,10 @@ def schur_product(f: SchurExpansion, g: SchurExpansion) -> SchurExpansion:
 
 
 def multi_schur_product(mus: Iterable[Partition]) -> SchurExpansion:
-    """s_{mu_0} * s_{mu_1} * ..., folded left to right on part tuples."""
+    """s_{mu_0} * s_{mu_1} * ..., folded left to right on part tuples from the unit."""
     out, degree = {(): 1}, 0
-    for f in mus:  # while degree is 0, out is the unit
-        out = _product(out, {f.parts: 1}) if degree else {f.parts: 1}
+    for f in mus:
+        out = _product(out, {f.parts: 1})
         degree += f.size
     return SchurExpansion._from_parts(degree, out)
 

@@ -4,11 +4,13 @@ Every row of MUTANTS is (file under src/schurkit/, exact old text, new text,
 target tests).  Each old text must occur exactly once in its file, so a
 refactor that moves the code fails here rather than skipping the mutant.
 
-The script copies src/ and tests/ into a temporary directory and runs the
-targets there once unmutated; they must pass.  Then, one mutant at a time, it
-writes the edit into the copy, runs ``python -m pytest -x -q <targets>`` in a
-subprocess under TIMEOUT_S, and puts the file back.  Each run leaves out the
-cache provider and the hypothesis plugin, which no test uses: loading that
+The script copies src/, tests/, README.md and pyproject.toml into a temporary
+directory, so the copy runs under the repository's pytest settings and the
+README's tests can be targets.  It runs the targets there once unmutated; they
+must pass.  Then, one mutant at a time, it writes the edit into the copy, runs
+``python -m pytest -x -q <targets>`` in a subprocess under TIMEOUT_S, and puts
+the file back.  Each run leaves out the cache provider, and pyproject.toml's
+addopts leave out the hypothesis plugin, which no test uses: loading that
 plugin took most of each run's time where it is installed.  A mutant is
 killed when that run fails or times out; one whose targets pass survived,
 which is a finding about the tests: strengthen them and keep the mutant.
@@ -42,6 +44,7 @@ ORACLE = "tests/test_oracle.py"
 CLI = "tests/test_cli.py"
 INJECTED = f"{CLI}::TestInjectedViolations"
 BYTES = "tests/test_same_bytes.py"
+README = "tests/test_readme.py"
 
 MUTANTS = [
     # --- schur.py: the LR walk and the SXP fold
@@ -154,6 +157,24 @@ MUTANTS = [
      "for lam in sorted(parts, reverse=True)\n",
      "for lam in sorted(parts)\n",
      [f"{SCHUR}::TestExpansionTypes"]),
+    ("schur.py",  # the factor of more rows walked as the content, the same
+     # answers, so only the orientation test sees it
+     "if len(nu) <= len(mu) else",
+     "if len(nu) >= len(mu) else",
+     [f"{SCHUR}::TestSchurProduct::test_pair_product_walks_the_factor_of_fewer_rows_as_content"]),
+    ("schur.py",  # one pairing per n-quotient, not per multiset of components:
+     # the same answers, so only the call count sees it
+     "if factors not in coeffs:",
+     "if True:",
+     [f"{SCHUR}::TestSxpPlethysm::test_one_pairing_per_multiset_of_components"]),
+    ("schur.py",  # empty factors folded too: each one a walk with no content
+     "fs = sorted((f for f in factors if f), key=sum, reverse=True)",
+     "fs = sorted(factors, key=sum, reverse=True)",
+     [f"{SCHUR}::TestSchurPlethysm::test_no_walk_with_an_empty_factor"]),
+    ("schur.py",  # each p_rho piece folded from the unit: a walk with no inner
+     "out = sxp_plethysm(rho[0], lam)._parts if rho else {(): 1}\n    for k in rho[1:]:",
+     "out = {(): 1}\n    for k in rho:",
+     [f"{SCHUR}::TestSchurPlethysm::test_no_walk_with_an_empty_factor"]),
     ("schur.py",  # one-term sides ignore their coefficients
      "if a == b == 1:",
      "if True:",
@@ -193,7 +214,7 @@ MUTANTS = [
      "if i < n - 2:",
      [f"{QUOT}::TestQuotientWalk"]),
     ("quotients.py",  # containment floor skipped
-     "if not floor or all(map(ge, b, floor)):",
+     "if all(map(ge, b, floor)):",
      "if True:",
      [f"{QUOT}::TestQuotientWalk"]),
     ("quotients.py",  # containment floor one too high
@@ -408,6 +429,10 @@ MUTANTS = [
      "[list(p) for p in sorted(corners)]",
      "[list(p) for p in sorted(corners, reverse=len(args.mu) < 3)]",
      [BYTES]),
+    ("cli.py",  # a help string argparse cannot format: only --help reads it
+     'help="also list every partition passing all sxp filters")',
+     'help="also list every partition passing all sxp filters %(")',
+     [f"{README}::test_help_renders"]),
     ("cli.py",  # main exits 0 on a failed verify
      'return FAILURE if output.get("status") == "fail" else 0',
      "return 0",
@@ -422,8 +447,7 @@ MUTANTS = [
 def _pytest(cwd: Path, targets: list[str]) -> tuple[str, float]:
     """'pass', 'fail' or 'timeout' for the targets run on the copy at cwd."""
     env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           "-p", "no:hypothesispytest", *targets]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *targets]
     start = time.perf_counter()
     try:
         proc = subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE,
@@ -446,6 +470,8 @@ def main() -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
+        for name in ("README.md", "pyproject.toml"):
+            shutil.copy(ROOT / name, copy / name)
         targets = sorted({t for *_, ts in MUTANTS for t in ts})
         status, secs = _pytest(copy, targets)
         print(f"unmutated: {status} in {secs:.1f}s", flush=True)
