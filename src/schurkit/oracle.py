@@ -15,9 +15,9 @@ over rho of chi^mu(rho) p_rho / z_rho, and the coefficient of s_lam in
 sum_rho c_rho p_rho is sum_rho c_rho chi^lam(rho).  Each degree's table is
 built once, as int rows together with the class sizes n!/z_rho.  Power-sum
 vectors hold scaled integers keyed by part tuples (``_schur_in_p(mu)`` is
-|mu|! s_mu), so every sum is exact integer arithmetic, and ``_p_to_schur``
-divides by the scale once per coefficient; a nonzero remainder raises
-NonIntegralResultError.
+|mu|! s_mu), so every sum is exact integer arithmetic.  A product may keep a
+zero left by cancellation; ``_p_to_schur`` drops zeros, and divides by the
+scale once per coefficient; a nonzero remainder raises NonIntegralResultError.
 """
 
 from __future__ import annotations
@@ -64,22 +64,18 @@ def _table(n: int):
 
 def _schur_in_p(mu: Partition) -> _PVec:
     """|mu|! s_mu: chi^mu(rho) times the class size of rho."""
-    parts, index, rows, class_sizes = _table(mu.size)
-    row = rows[index[mu.parts]]
-    return {
-        rho.parts: chi * size
-        for rho, chi, size in zip(parts, row, class_sizes)
-        if chi
-    }
+    _, index, rows, class_sizes = _table(mu.size)
+    row = rows[index[mu.parts]]  # index's keys run in the rows' order
+    return {rho: chi * size for rho, chi, size in zip(index, row, class_sizes) if chi}
 
 
 def _p_mult(a: _PVec, b: _PVec) -> _PVec:
-    # p_alpha * p_beta = p_{alpha union beta}
+    # p_alpha * p_beta = p_{alpha union beta}; zeros from cancellation stay
     out: _PVec = defaultdict(int)
     for rho, x in a.items():
         for sig, y in b.items():
             out[tuple(sorted(rho + sig, reverse=True))] += x * y
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
 def _p_stretch(a: _PVec, n: int) -> _PVec:
@@ -109,9 +105,7 @@ def _p_to_schur(degree: int, pterms: _PVec, scale: int) -> SchurExpansion:
 def oracle_product(mu: Partition, nu: Partition) -> SchurExpansion:
     """s_mu * s_nu computed by multiplying the power-sum images."""
     prod = _p_mult(_schur_in_p(mu), _schur_in_p(nu))
-    return _p_to_schur(
-        mu.size + nu.size, prod, factorial(mu.size) * factorial(nu.size)
-    )
+    return _p_to_schur(mu.size + nu.size, prod, factorial(mu.size) * factorial(nu.size))
 
 
 def oracle_power_plethysm(n: int, lam: Partition) -> SchurExpansion:
@@ -129,15 +123,17 @@ def oracle_plethysm(mu: Partition, nu: Partition) -> SchurExpansion:
 
     With m = |mu| and d = |nu|, the rho term is scaled by m! through the
     class size, and by d! per part of rho through |nu|! s_nu; padding it by
-    d!^(m - len rho) puts every term over the common scale m! d!^m."""
+    d!^(m - len rho) puts every term over the common scale m! d!^m.  As in
+    ``_power_plethysm``, each term folds from its first stretched factor."""
     m, d = mu.size, nu.size
     base = _schur_in_p(nu)
     stretched = {k: _p_stretch(base, k) for k in range(1, m + 1)}
     dfact = factorial(d)
     acc: _PVec = defaultdict(int)
     for rho, weight in _schur_in_p(mu).items():
-        term: _PVec = {(): weight * dfact ** (m - len(rho))}
-        for part in rho:
+        pad = weight * dfact ** (m - len(rho))
+        term = {sig: pad * c for sig, c in stretched[rho[0]].items()} if rho else {(): pad}
+        for part in rho[1:]:
             term = _p_mult(term, stretched[part])
         for sig, c in term.items():
             acc[sig] += c

@@ -49,6 +49,7 @@ def lr_bound(mus: Sequence[Partition]) -> Partition:
     contains the diagram of every partition in supp(s_{mu_0} * s_{mu_1} *
     ...).  Since parts only fall, its row r is the min-plus convolution
     min over i + j = r of mu_i + nu_j (zero-padded), folded over the factors.
+    These rows fall, and no i + j = r meets both paddings, so they are a partition.
     """
     if not mus:
         raise ValueError("lr_bound requires at least one factor")
@@ -56,7 +57,7 @@ def lr_bound(mus: Sequence[Partition]) -> Partition:
     for mu in mus[1:]:
         a, b = rows + (0,) * len(mu), mu.parts + (0,) * len(rows)
         rows = tuple([min(map(add, a[: r + 1], b[r::-1])) for r in range(len(a))])
-    return Partition(rows)
+    return Partition._from_parts(rows)
 
 
 def sxp_lower_check(lam: Sequence[int], mu: Sequence[int]) -> bool:

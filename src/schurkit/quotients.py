@@ -33,7 +33,7 @@ caller reads its answer off the beads with ``_partition_from_beta`` and
 from __future__ import annotations
 
 from itertools import takewhile
-from operator import ge, sub
+from operator import add, ge, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import Partition
@@ -62,9 +62,9 @@ class QuotientDecomposition(NamedTuple):
 
 
 def _beta_set(mu: Partition | tuple[int, ...], m: int) -> list[int]:
-    """First-column hook lengths of mu padded to m parts; strictly decreasing."""
-    beta = [p + m - 1 - i for i, p in enumerate(mu)]
-    return beta + list(range(m - 1 - len(mu), -1, -1))
+    """First-column hook lengths of mu padded to m >= len(mu) parts; strictly
+    decreasing.  map stops at the shorter input, so m < len(mu) drops parts."""
+    return [*map(add, mu, range(m - 1, -1, -1)), *range(m - 1 - len(mu), -1, -1)]
 
 
 def _partition_from_beta(beta: Sequence[int]) -> tuple[int, ...]:

@@ -339,9 +339,9 @@ def sxp_plethysm(n: int, lam: Partition) -> SchurExpansion:
 
 @lru_cache(maxsize=1024)
 def _power_plethysm(rho: tuple[int, ...], nu: tuple[int, ...]) -> Mapping[tuple, int]:
-    """p_rho o s_nu on part tuples, as a product of sxp pieces folded from
-    the first, so no product is taken with the unit."""
-    lam = Partition(nu)
+    """p_rho o s_nu on part tuples, nu validated by schur_plethysm: sxp pieces
+    folded from the first, so no product is taken with the unit."""
+    lam = Partition._from_parts(nu)
     out = sxp_plethysm(rho[0], lam)._parts if rho else {(): 1}
     for k in rho[1:]:
         out = _product(out, sxp_plethysm(k, lam)._parts)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import schurkit.oracle as oracle
 from schurkit import (
     Partition,
     SchurExpansion,
@@ -45,6 +46,36 @@ class TestOracleProduct:
             P([4, 3]), P([3, 2]), P([1, 1])
         )
 
+    def test_zeros_from_cancellation_stay_out_of_answers(self):
+        # (p_11 - p_2)(p_11 + p_2) = p_1111 - p_22: p_211 cancels to a zero
+        # that the product keeps, and the basis change must drop
+        prod = _p_mult(_schur_in_p(P([1, 1])), _schur_in_p(P([2])))
+        assert prod[(2, 1, 1)] == 0
+        got = oracle_product(P([1, 1]), P([2]))
+        assert got == SchurExpansion(4, {P([3, 1]): 1, P([2, 1, 1]): 1})
+        answers = [
+            oracle_product(mu, nu)
+            for a in range(9)
+            for mu in all_partitions(a)
+            for b in range(9 - a)
+            for nu in all_partitions(b)
+        ]
+        answers += [
+            oracle_power_plethysm(n, lam)
+            for n in (1, 2, 3)
+            for size in range(10 // n + 1)
+            for lam in all_partitions(size)
+        ]
+        answers += [
+            oracle_plethysm(mu, nu)
+            for a in range(1, 9)
+            for mu in all_partitions(a)
+            for b in range(8 // a + 1)
+            for nu in all_partitions(b)
+        ]
+        for e in answers:
+            assert all(e.terms.values()), e
+
     def test_matches_main_path_small(self):
         for a in range(4):
             for mu in all_partitions(a):
@@ -69,6 +100,25 @@ class TestOraclePlethysm:
         assert oracle_plethysm(P([2]), P([1, 1])) == SchurExpansion(
             4, {P([2, 2]): 1, P([1, 1, 1, 1]): 1}
         )
+
+    def test_folds_each_class_from_its_first_factor(self, monkeypatch):
+        # one product per part after the first, over the classes rho with
+        # chi^mu(rho) != 0: none is taken with the unit
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return _p_mult(a, b)
+
+        monkeypatch.setattr(oracle, "_p_mult", counting)
+        for mu, nu, want in ((P([2, 1]), P([2]), 2), (P([3]), P([1, 1]), 3)):
+            calls.clear()
+            oracle_plethysm(mu, nu)
+            assert len(calls) == want, (mu, nu)
+        for mu in all_partitions(4):
+            calls.clear()
+            oracle_plethysm(mu, P([2]))
+            assert len(calls) == sum(len(rho) - 1 for rho in _schur_in_p(mu)), mu
 
     def test_final_remarks_support(self):
         e = oracle_plethysm(P([1, 1]), P([4, 2, 2]))

@@ -142,6 +142,20 @@ def _quotients_inside(n, total, outer):
     return sorted(t for t in tuples if sum(map(sum, t)) == total)
 
 
+class TestBetaSet:
+    def test_matches_definition(self):
+        # every caller passes m >= len(mu); the padding runs m-1-len(mu) down to 0
+        for size in range(9):
+            for lam in all_partitions(size):
+                mu = lam.parts
+                for m in range(len(mu), len(mu) + 4):
+                    want = [p + m - 1 - i for i, p in enumerate(mu)]
+                    want += list(range(m - 1 - len(mu), -1, -1))
+                    assert len(want) == m
+                    assert _beta_set(mu, m) == want, (mu, m)
+                    assert _beta_set(lam, m) == want, (mu, m)
+
+
 class TestPartitionFromBeta:
     def test_matches_sort_reference(self):
         rng = random.Random(19)

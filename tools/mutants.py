@@ -274,6 +274,10 @@ MUTANTS = [
      "    if n < 1:\n        raise ValueError(\"modulus n must be >= 1\")\n    if len(",
      "    if False:\n        raise ValueError(\"modulus n must be >= 1\")\n    if len(",
      [f"{QUOT}::TestDecompose::test_modulus_below_one"]),
+    ("quotients.py",  # the beta-set's padding stops one bead short
+     "*range(m - 1 - len(mu), -1, -1)]",
+     "*range(m - 1 - len(mu), 0, -1)]",
+     [f"{QUOT}::TestBetaSet"]),
     ("quotients.py",  # reconstruct accepts a core with a removable hook
      "if _rim_hooks(core.parts, n):",
      "if False:",
@@ -366,6 +370,15 @@ MUTANTS = [
      "    if n < 1:",
      "    if False:",
      [f"{ORACLE}::TestOraclePlethysm::test_power_exponent_below_one"]),
+    ("oracle.py",  # each class's first factor multiplied by the unit: the
+     # values stay right, only the count of products sees it
+     "{sig: pad * c for sig, c in stretched[rho[0]].items()}",
+     "_p_mult({(): pad}, stretched[rho[0]])",
+     [f"{ORACLE}::TestOraclePlethysm::test_folds_each_class_from_its_first_factor"]),
+    ("oracle.py",  # the basis change keeps zero coefficients
+     "        if val:\n",
+     "        if True:\n",
+     [f"{ORACLE}::TestOracleProduct::test_zeros_from_cancellation_stay_out_of_answers"]),
     # --- verification.py: each support check, the sweep loop and run_scope
     ("verification.py",  # dominance check passes always
      "if not (_dominates(top, lam) and _dominates(lam, bottom)):",
