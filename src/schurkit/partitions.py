@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import gt, index, lt
+from operator import add, gt, index, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -102,12 +102,14 @@ class Partition:
 
     def union(self, other: "Partition") -> "Partition":
         """Multiset merge of the parts, re-sorted."""
-        return Partition(sorted(self._parts + other._parts, reverse=True))
+        return Partition._from_parts(tuple(sorted(self._parts + other._parts, reverse=True)))
 
     def __add__(self, other: "Partition") -> "Partition":
-        """Part-wise sum."""
-        n = max(len(self._parts), len(other))
-        return Partition(self[i] + other[i] for i in range(n))
+        """Part-wise sum; past the shorter one, the longer one's rows."""
+        a, b = self._parts, other._parts
+        if len(a) < len(b):
+            a, b = b, a
+        return Partition._from_parts((*map(add, a, b), *a[len(b):]))
 
     def dominates(self, other: "Partition") -> bool:
         """Dominance order: every prefix sum of self is >= the same prefix sum

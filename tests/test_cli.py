@@ -447,6 +447,25 @@ class TestVerify:
             [734, 116, 430], [1215, 165, 626],
         ]
 
+    def test_oracle_asked_once_per_unordered_pair(self, monkeypatch):
+        # each unordered pair {mu, nu} costs one oracle_product call: its
+        # second order is compared with the answer to its first
+        import schurkit.verification as v
+
+        oracle, calls = v.oracle_product, []
+        monkeypatch.setattr(v, "oracle_product",
+                            lambda mu, nu: calls.append((mu, nu)) or oracle(mu, nu))
+        counts = []
+        for d in range(11):
+            calls.clear()
+            report = v.check_products(d)
+            assert report.ok
+            counts.append((report.cases, len(calls)))
+        assert counts == [
+            (1, 1), (3, 2), (8, 5), (18, 10), (38, 21), (74, 39), (139, 73),
+            (249, 128), (434, 223), (734, 373), (1215, 617),
+        ]
+
     def test_budget_admits_degree_15(self):
         assert len(all_partitions(15)) ** 2 <= ORACLE_TABLE_BUDGET
 
@@ -461,14 +480,16 @@ class TestVerify:
 def _inject(monkeypatch, scope, case, bad):
     """Make the fast path and the oracle of one sweep agree on the expansion
     ``bad`` at ``case`` and on the fast path's answer everywhere else, so only
-    a support check can fail the sweep."""
+    a support check can fail the sweep.  A product is injected in both orders:
+    the lr sweep asks the oracle for one of them and compares both with it."""
     import schurkit.verification as v
 
     if scope == "lr":
         fast_product = v.multi_schur_product
 
         def product(factors):
-            return bad if tuple(f.parts for f in factors) == case else fast_product(factors)
+            parts = tuple(f.parts for f in factors)
+            return bad if case in (parts, parts[::-1]) else fast_product(factors)
 
         monkeypatch.setattr(v, "multi_schur_product", product)
         monkeypatch.setattr(v, "oracle_product", lambda mu, nu: product([mu, nu]))
@@ -492,9 +513,10 @@ def _inject(monkeypatch, scope, case, bad):
 
 # (scope, case, degree and terms of the injected expansion, counterexample)
 INJECTED = [
+    # the sweep reaches the order (1) * (2) first
     pytest.param("lr", ((2,), (1,)), 3, {(1, 1, 1): 1},
                  {"kind": "dominance bound violated", "lam": [1, 1, 1],
-                  "mu": [2], "nu": [1]}, id="dominance"),
+                  "mu": [1], "nu": [2]}, id="dominance"),
     # (2, 2) lies between (3, 1) and (2, 1, 1) but outside the bound (3, 1, 1)
     pytest.param("lr", ((2,), (1, 1)), 4, {(2, 2): 1},
                  {"kind": "minkowski bound violated", "lam": [2, 2],

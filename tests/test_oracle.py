@@ -76,6 +76,14 @@ class TestOracleProduct:
         for e in answers:
             assert all(e.terms.values()), e
 
+    def test_factor_order_does_not_matter(self):
+        # the lr sweep compares both orders of a product with one answer
+        for a in range(9):
+            for mu in all_partitions(a):
+                for b in range(9 - a):
+                    for nu in all_partitions(b):
+                        assert oracle_product(mu, nu) == oracle_product(nu, mu), (mu, nu)
+
     def test_matches_main_path_small(self):
         for a in range(4):
             for mu in all_partitions(a):

@@ -182,6 +182,21 @@ class TestSumUnion:
             assert (lam + mu).size == 7
             assert lam.union(mu).size == 7
 
+    def test_match_definitions_in_both_orders(self):
+        # both build their result unchecked, so each is held to the
+        # definition and to what the validating constructor accepts
+        for a in range(9):
+            for b in range(9 - a):
+                for lam, mu in itertools.product(all_partitions(a), all_partitions(b)):
+                    summed = [lam[r] + mu[r] for r in range(max(len(lam), len(mu)))]
+                    merged = sorted(lam.parts + mu.parts, reverse=True)
+                    for got, parts in ((lam + mu, summed), (mu + lam, summed),
+                                       (lam.union(mu), merged), (mu.union(lam), merged)):
+                        assert got.parts == tuple(parts), (lam, mu)
+                        assert got.size == a + b
+                        assert not got.parts or got.parts[-1] > 0
+                        assert P(parts) == got
+
 
 class TestDominance:
     def test_examples(self):

@@ -357,6 +357,14 @@ MUTANTS = [
      "if p.r <= r) for r in range(first_empty_row)",
      "if p.r < r) for r in range(first_empty_row)",
      [f"{PART}::TestIdealComplement"]),
+    ("partitions.py",  # union keeps the merged parts unsorted
+     "tuple(sorted(self._parts + other._parts, reverse=True))",
+     "self._parts + other._parts",
+     [f"{PART}::TestSumUnion::test_match_definitions_in_both_orders"]),
+    ("partitions.py",  # the part-wise sum drops the longer factor's tail
+     "(*map(add, a, b), *a[len(b):])",
+     "tuple(map(add, a, b))",
+     [f"{PART}::TestSumUnion::test_match_definitions_in_both_orders"]),
     # --- oracle.py
     ("oracle.py",  # p_n o p_rho keeps the parts unstretched
      "tuple([n * part for part in rho])",
@@ -412,6 +420,15 @@ MUTANTS = [
      "if fast == slow:",
      "if True:",
      [f"{CLI}::TestVerify::test_failed_sweep_exit_1"]),
+    ("verification.py",  # the oracle asked for every order: only the count
+     # of its calls sees it, since its answer to both orders is the same
+     "if slot[0] != (nu, mu):",
+     "if True:",
+     [f"{CLI}::TestVerify::test_oracle_asked_once_per_unordered_pair"]),
+    ("verification.py",  # the second order of a pair never swept
+     "[(mu, nu)] if mu == nu else [(mu, nu), (nu, mu)]",
+     "[(mu, nu)]",
+     [f"{CLI}::TestVerify::test_mismatch_lists_fast_terms_then_oracle_extras"]),
     ("verification.py",  # the mismatch diff walks the oracle's terms first
      "{**fast._parts, **slow._parts}",
      "{**slow._parts, **fast._parts}",
